@@ -7,6 +7,7 @@ real/imag float64 pairs, receivers fastest then sources.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,6 +51,8 @@ class FrequencyDataset:
 
 MANIFEST_NAME = "dataset_manifest.txt"
 ACQ_NAME = "acquisition.txt"
+COUNT_KEYS = ("n_frequencies", "n_sources", "n_receivers")
+_FREQUENCY_LINE = re.compile(r"frequency\s*=\s*(\S+)\s+file\s*=\s*(\S+)")
 
 
 def save_dataset(directory: str | os.PathLike, ds: FrequencyDataset) -> Path:
@@ -88,33 +91,24 @@ def load_dataset(directory: str | os.PathLike) -> FrequencyDataset:
         pos += 1
         return int(value)
 
-    n_src = read_count("sources")
-    sources = []
-    for _ in range(n_src):
-        x, z, re_a, im_a = (float(t) for t in acq_lines[pos].split())
-        sources.append((x, z, complex(re_a, im_a)))
-        pos += 1
-    n_rec = read_count("receivers")
-    receivers = []
-    for _ in range(n_rec):
-        x, z = (float(t) for t in acq_lines[pos].split())
-        receivers.append((x, z))
-        pos += 1
+    try:
+        n_src = read_count("sources")
+        sources = []
+        for _ in range(n_src):
+            x, z, re_a, im_a = (float(t) for t in acq_lines[pos].split())
+            sources.append((x, z, complex(re_a, im_a)))
+            pos += 1
+        n_rec = read_count("receivers")
+        receivers = []
+        for _ in range(n_rec):
+            x, z = (float(t) for t in acq_lines[pos].split())
+            receivers.append((x, z))
+            pos += 1
+    except (IndexError, ValueError) as exc:
+        raise fileio.FieldFileError(f"{root / ACQ_NAME}: malformed near line {pos + 1}") from exc
     acq = Acquisition(sources=tuple(sources), receivers=tuple(receivers))
 
-    frequencies: list[float] = []
-    files: list[str] = []
-    snr_db: float | None = None
-    for line in (root / MANIFEST_NAME).read_text(encoding="ascii").splitlines():
-        line = line.strip()
-        if line.startswith("snr_db"):
-            _, _, value = line.partition("=")
-            value = value.strip()
-            snr_db = None if value == "none" else float(value)
-        elif line.startswith("frequency"):
-            parts = line.split()
-            frequencies.append(float(parts[2]))
-            files.append(parts[5])
+    frequencies, files, snr_db = _read_manifest(root / MANIFEST_NAME, n_src, n_rec)
     data = np.empty((len(frequencies), n_src, n_rec), dtype=np.complex128)
     for i, name in enumerate(files):
         raw = np.frombuffer((root / name).read_bytes(), dtype="<c16")
@@ -126,3 +120,38 @@ def load_dataset(directory: str | os.PathLike) -> FrequencyDataset:
     return FrequencyDataset(
         acquisition=acq, frequencies=tuple(frequencies), data=data, snr_db=snr_db
     )
+
+
+def _read_manifest(
+    path: Path, n_src: int, n_rec: int
+) -> tuple[list[float], list[str], float | None]:
+    """Frequencies, trace file names and SNR, checked against the counts."""
+    frequencies: list[float] = []
+    files: list[str] = []
+    snr_db: float | None = None
+    counts: dict[str, int] = {}
+    for line in path.read_text(encoding="ascii").splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        freq_line = _FREQUENCY_LINE.fullmatch(line)
+        key, sep, value = (t.strip() for t in line.partition("="))
+        if not freq_line and not (sep and key in ("snr_db", *COUNT_KEYS)):
+            raise fileio.FieldFileError(f"{path}: unrecognized line {line!r}")
+        try:
+            if freq_line:
+                frequencies.append(float(freq_line[1]))
+                files.append(freq_line[2])
+            elif key == "snr_db":
+                snr_db = None if value == "none" else float(value)
+            else:
+                counts[key] = int(value)
+        except ValueError as exc:
+            raise fileio.FieldFileError(f"{path}: bad value in line {line!r}") from exc
+    found = dict(zip(COUNT_KEYS, (len(frequencies), n_src, n_rec)))
+    for key, n in found.items():
+        if key not in counts:
+            raise fileio.FieldFileError(f"{path}: missing '{key} =' line")
+        if counts[key] != n:
+            raise fileio.FieldFileError(f"{path}: {key} = {counts[key]}, but found {n}")
+    return frequencies, files, snr_db

@@ -16,6 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import Grid2D, GridError, ScalarField, same_grid
+from .helmholtz import PERMC_SPEC
 
 ETA_KINDS = (
     "eta1",  # Perona-Malik rational
@@ -142,11 +143,23 @@ class DiffusionOperator:
     `boundary_op` maps a full nodal vector to the interior right-hand
     side produced by its boundary values, so the discrete Dirichlet
     problem A x = boundary_op @ m recovers the lift of m's edge data.
+    The LU of `matrix` is built on first use and shared by the lift and
+    the eigensolver.
     """
 
     grid: Grid2D
     matrix: sp.csc_matrix = field(repr=False)
     boundary_op: sp.csr_matrix = field(repr=False)
+    _lu: spla.SuperLU | None = field(default=None, repr=False, compare=False)
+
+    def factor(self) -> spla.SuperLU:
+        if self._lu is None:
+            try:
+                lu = spla.splu(self.matrix, permc_spec=PERMC_SPEC)
+            except RuntimeError as exc:  # singular factorization
+                raise DiffusionError(f"diffusion LU failed: {exc}") from exc
+            object.__setattr__(self, "_lu", lu)
+        return self._lu
 
     @property
     def n_interior(self) -> int:
@@ -240,10 +253,7 @@ def lift_m0(m: ScalarField, eta: ScalarField) -> ScalarField:
 def lift_from_operator(op: DiffusionOperator, m: ScalarField) -> ScalarField:
     same_grid(op.grid, m.grid)
     rhs = op.boundary_op @ m.values
-    try:
-        interior = spla.splu(op.matrix).solve(rhs)
-    except RuntimeError as exc:
-        raise DiffusionError(f"lift solve failed: {exc}") from exc
+    interior = op.factor().solve(rhs)
     rnorm = np.linalg.norm(op.matrix @ interior - rhs)
     bound = LIFT_RTOL * max(1.0, np.linalg.norm(rhs))
     if rnorm > bound:

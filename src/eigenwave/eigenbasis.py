@@ -2,10 +2,11 @@
 
 A field m is represented as a boundary lift m0 plus a combination of the
 eigenvectors belonging to the N smallest eigenvalues of -div(eta grad)
-with homogeneous Dirichlet conditions.  The eigensolver factorizes the
-SPD matrix once and runs Lanczos on its inverse (the smallest eigenvalues
-of A are the largest of A^-1), with full reorthogonalization and locked
-restarts so that multiple eigenvalues are resolved reliably.
+with homogeneous Dirichlet conditions.  build_basis factorizes the SPD
+matrix once; that LU gives the boundary lift, and the eigensolver runs
+Lanczos on its inverse (the smallest eigenvalues of A are the largest of
+A^-1), with full reorthogonalization and locked restarts so that multiple
+eigenvalues are resolved reliably.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .diffusion import (
     lift_from_operator,
 )
 from .grid import Grid2D, GridError, ScalarField, same_grid
+from .helmholtz import PERMC_SPEC
 
 EIG_RTOL = 1e-8
 ORTHO_TOL = 1e-8
@@ -45,6 +47,7 @@ def smallest_eigenpairs(
     rtol: float = EIG_RTOL,
     seed: int = LANCZOS_SEED,
     max_sweeps: int = 30,
+    lu: spla.SuperLU | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """N smallest eigenpairs of a sparse SPD matrix by shift-invert Lanczos.
 
@@ -53,6 +56,8 @@ def smallest_eigenpairs(
     sweeps draw a fresh start vector orthogonal to everything already
     locked, which is what resolves degenerate eigenvalue clusters: one
     Krylov sequence can only ever see one copy of a multiple eigenvalue.
+    `lu` is an existing factorization of `matrix` to reuse; without it the
+    matrix is factored here.
     """
     A = sp.csc_matrix(matrix)
     dim = A.shape[0]
@@ -60,10 +65,11 @@ def smallest_eigenpairs(
         raise GridError(f"matrix must be square, got {A.shape}")
     if not 1 <= n <= dim:
         raise GridError(f"need 1 <= n <= {dim}, got n={n}")
-    try:
-        lu = spla.splu(A)
-    except RuntimeError as exc:
-        raise EigenSolveError(f"factorization failed: {exc}") from exc
+    if lu is None:
+        try:
+            lu = spla.splu(A, permc_spec=PERMC_SPEC)
+        except RuntimeError as exc:
+            raise EigenSolveError(f"factorization failed: {exc}") from exc
 
     rng = np.random.default_rng(seed)
     locked_v = np.empty((dim, 0))
@@ -238,10 +244,11 @@ def build_basis(m: ScalarField, spec: DiffusionSpec, n: int) -> EigenBasis:
     norms = gradient_norms(m)
     eta = eval_eta(spec, norms)
     op = assemble_diffusion(eta)
-    m0 = lift_from_operator(op, m)
-    vals, vecs_int = smallest_eigenpairs(op.matrix, n)
+    # allocated before the LU that the lift and the eigensolve share, so the
+    # heap space the LU frees on return is not pinned under a live array
     vecs = np.zeros((m.grid.n_nodes, n))
-    vecs[op.interior_indices(), :] = vecs_int
+    m0 = lift_from_operator(op, m)
+    vals, vecs[op.interior_indices(), :] = smallest_eigenpairs(op.matrix, n, lu=op.factor())
     return EigenBasis(
         spec=spec,
         source_model_hash=m.digest(),

@@ -9,6 +9,15 @@ top corners are Dirichlet.
 
 One sparse LU factorization serves every right-hand side at a frequency,
 including the adjoint (conjugate-transposed) systems.
+
+Every sparse LU in the package orders its columns by minimum degree on
+the pattern of A^T + A (PERMC_SPEC).  The 5-point operators here are
+structurally symmetric, so that ordering sees the true graph, where
+SuperLU's default COLAMD orders for A^T A and fills more.  On a 161x81
+Helmholtz operator L+U holds 506,087 nonzeros against 870,181 with COLAMD,
+and a factorization runs about 1.3x faster on one core.  At 321x161 the
+fill drops from 4.81M to 2.71M; there the cheaper factorization is partly
+offset by slower 64-RHS triangular solves.
 """
 
 from __future__ import annotations
@@ -22,6 +31,8 @@ import scipy.sparse.linalg as spla
 from .grid import ComplexField, Grid2D, GridError, Model, same_grid
 
 RESIDUAL_RTOL = 1e-10
+# column ordering for every sparse LU: minimum degree on A^T + A
+PERMC_SPEC = "MMD_AT_PLUS_A"
 
 
 class SolveError(RuntimeError):
@@ -80,7 +91,7 @@ class HelmholtzOperator:
     def factor(self) -> spla.SuperLU:
         if self._lu is None:
             try:
-                self._lu = spla.splu(self.matrix)
+                self._lu = spla.splu(self.matrix, permc_spec=PERMC_SPEC)
             except RuntimeError as exc:  # singular factorization
                 raise SolveError(f"sparse LU failed (omega={self.omega}): {exc}") from exc
         return self._lu

@@ -10,6 +10,18 @@ finite-difference checks pass with no boundary carve-outs.
 
 Minimization is Polak-Ribiere+ nonlinear conjugate gradient with Armijo
 backtracking, restarted at every (frequency, N) block boundary.
+
+All simulation goes through MisfitEvaluator, which keeps the last
+(model, frequency) it simulated: the Helmholtz operator with its LU, the
+forward wavefields and the receiver residual.  The key is the exact bytes
+of the clamped squared slowness that was simulated, so a hit returns
+bit-for-bit what a fresh evaluation would.  A line search ends on the
+point it accepts, so the gradient there costs one adjoint solve and no
+factorization; per accepted step that saves one of the roughly four
+factorizations the search makes.  The entry is dropped as soon as a
+gradient is taken (the next search never revisits that point) and
+before a new LU is built, so no more than one LU is alive at a time;
+keeping it past the gradient would only raise peak memory.
 """
 
 from __future__ import annotations
@@ -22,8 +34,8 @@ import numpy as np
 from .dataset import FrequencyDataset
 from .diffusion import DiffusionSpec
 from .eigenbasis import EigenBasis, build_basis, project, reconstruct
-from .grid import GridError, Model, ScalarField, clamp_model, same_grid
-from .helmholtz import assemble, receiver_matrix, source_batch
+from .grid import Grid2D, GridError, Model, ScalarField, clamp_model, same_grid
+from .helmholtz import HelmholtzOperator, assemble, receiver_matrix, source_batch
 
 
 @dataclass(frozen=True)
@@ -97,6 +109,9 @@ class IterationRecord:
     n_active: int
     n_clamped: int
     accepted: bool
+    n_backtracks: int = 0
+    was_reset: bool = False
+    n_factor: int = 0  # Helmholtz factorizations since the previous record
 
 
 @dataclass
@@ -107,14 +122,18 @@ class InversionHistory:
     snapshots: list[tuple[int, ScalarField]] = field(default_factory=list)
     n_basis_builds: int = 0
 
-    CSV_HEADER = "block,iter,misfit,step,n_active,dir_deriv,n_clamped,accepted"
+    CSV_HEADER = (
+        "block,iter,misfit,step,n_active,dir_deriv,n_clamped,accepted,"
+        "n_backtracks,was_reset,n_factor"
+    )
 
     def to_csv(self, path: str | os.PathLike) -> None:
         lines = [self.CSV_HEADER]
         for r in self.records:
             lines.append(
                 f"{r.block},{r.iteration},{r.misfit:.17g},{r.step:.17g},"
-                f"{r.n_active},{r.dir_deriv:.17g},{r.n_clamped},{int(r.accepted)}"
+                f"{r.n_active},{r.dir_deriv:.17g},{r.n_clamped},{int(r.accepted)},"
+                f"{r.n_backtracks},{int(r.was_reset)},{r.n_factor}"
             )
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -130,45 +149,88 @@ def _frequency_indices(dataset: FrequencyDataset, frequencies) -> list[int]:
     return [dataset.frequency_index(f) for f in np.atleast_1d(frequencies)]
 
 
+@dataclass(frozen=True)
+class _Forward:
+    """One simulated (model, frequency): operator with its LU, wavefields, residual."""
+
+    key: bytes
+    index: int
+    op: HelmholtzOperator
+    u: np.ndarray  # (n_nodes, n_src)
+    residual: np.ndarray  # (n_rec, n_src)
+    value: float
+
+
+class MisfitEvaluator:
+    """Misfit and nodal gradient of one dataset on one grid.
+
+    The receiver operator and the source loads are built once.  The last
+    simulation is kept, keyed by the exact bytes of the model and the
+    frequency index, so a gradient at the point a line search accepted
+    costs one adjoint solve and no factorization.  A gradient ends the
+    entry, and a new entry is built only after the old one is dropped, so
+    at most one LU is alive.  `n_factor` counts the factorizations made.
+    """
+
+    def __init__(self, dataset: FrequencyDataset, grid: Grid2D):
+        acq = dataset.acquisition
+        acq.validate_in(grid)
+        self.dataset = dataset
+        self.rec_op = receiver_matrix(grid, acq)
+        self.rhs = source_batch(grid, acq)
+        self.n_factor = 0
+        self._entry: _Forward | None = None
+
+    def _forward(self, model: Model, index: int) -> _Forward:
+        key = model.m.tobytes()
+        if self._entry is not None and (self._entry.index, self._entry.key) == (index, key):
+            return self._entry
+        self._entry = None  # release the old LU before factoring a new one
+        op = assemble(model, 2.0 * np.pi * self.dataset.frequencies[index])
+        u = op.solve_array(self.rhs)
+        self.n_factor += 1
+        residual = self.rec_op @ u - self.dataset.data[index].T
+        value = 0.5 * float(np.sum(np.abs(residual) ** 2))
+        self._entry = _Forward(key, index, op, u, residual, value)
+        return self._entry
+
+    def value(self, model: Model, index: int) -> float:
+        """J_f = 1/2 sum over sources of ||F(m) - d||^2 at one frequency."""
+        return self._forward(model, index).value
+
+    def gradient(self, model: Model, index: int) -> np.ndarray:
+        """dJ_f/dm at the nodes, from one forward and one adjoint solve."""
+        entry = self._forward(model, index)
+        self._entry = None  # never reused after a gradient
+        q = entry.op.solve_array(self.rec_op.T @ entry.residual, adjoint=True)
+        # dJ/dm_j = -Re( ddiag_j * sum_s conj(q_js) u_js )
+        return -np.real(entry.op.ddiag_dm * np.sum(np.conj(q) * entry.u, axis=1))
+
+
 def misfit(model: Model, dataset: FrequencyDataset, frequencies=None) -> float:
     """J = 1/2 sum over frequencies and sources of ||F(m) - d||^2."""
-    value, _ = _misfit_impl(model, dataset, frequencies, want_gradient=False)
+    ev = MisfitEvaluator(dataset, model.grid)
+    value = 0.0
+    for i in _frequency_indices(dataset, frequencies):
+        value += ev.value(model, i)
     return value
 
 
 def gradient_nodal(model: Model, dataset: FrequencyDataset, frequencies=None) -> ScalarField:
     """Derivative of the misfit with respect to nodal squared slowness."""
-    _, grad = _misfit_impl(model, dataset, frequencies, want_gradient=True)
-    return ScalarField(model.grid, grad)
+    return misfit_and_gradient(model, dataset, frequencies)[1]
 
 
 def misfit_and_gradient(
     model: Model, dataset: FrequencyDataset, frequencies=None
 ) -> tuple[float, ScalarField]:
-    value, grad = _misfit_impl(model, dataset, frequencies, want_gradient=True)
-    return value, ScalarField(model.grid, grad)
-
-
-def _misfit_impl(model, dataset, frequencies, want_gradient):
-    grid = model.grid
-    acq = dataset.acquisition
-    acq.validate_in(grid)
-    idx = _frequency_indices(dataset, frequencies)
-    rec_op = receiver_matrix(grid, acq)
-    rhs = source_batch(grid, acq)
+    ev = MisfitEvaluator(dataset, model.grid)
     value = 0.0
-    grad = np.zeros(grid.n_nodes) if want_gradient else None
-    for i in idx:
-        omega = 2.0 * np.pi * dataset.frequencies[i]
-        op = assemble(model, omega)
-        u = op.solve_array(rhs)  # (n_nodes, n_src)
-        residual = rec_op @ u - dataset.data[i].T  # (n_rec, n_src)
-        value += 0.5 * float(np.sum(np.abs(residual) ** 2))
-        if want_gradient:
-            q = op.solve_array(rec_op.T @ residual, adjoint=True)
-            # dJ/dm_j = -Re( ddiag_j * sum_s conj(q_js) u_js )
-            grad -= np.real(op.ddiag_dm * np.sum(np.conj(q) * u, axis=1))
-    return value, grad
+    grad = np.zeros(model.grid.n_nodes)
+    for i in _frequency_indices(dataset, frequencies):
+        value += ev.value(model, i)
+        grad += ev.gradient(model, i)
+    return value, ScalarField(model.grid, grad)
 
 
 def gradient_alpha(g_nodal: ScalarField, basis: EigenBasis, n_active: int) -> np.ndarray:
@@ -323,20 +385,26 @@ def run_inversion(
         clamp_count["last"] = n_clamped
         return model
 
-    current_freq = {"hz": blocks[0][0]}
+    evaluator = MisfitEvaluator(dataset, grid)
+    cursor = {"index": 0, "n_factor": 0}
 
     def eval_value(xvec: np.ndarray) -> float:
-        return misfit(model_of(xvec), dataset, [current_freq["hz"]])
+        return evaluator.value(model_of(xvec), cursor["index"])
 
     def eval_grad(xvec: np.ndarray) -> np.ndarray:
-        g_nodal = gradient_nodal(model_of(xvec), dataset, [current_freq["hz"]])
+        g_nodal = evaluator.gradient(model_of(xvec), cursor["index"])
         if config.nodal:
-            return g_nodal.values
-        return gradient_alpha(g_nodal, basis, xvec.size)
+            return g_nodal
+        return gradient_alpha(ScalarField(grid, g_nodal), basis, xvec.size)
+
+    def new_factors() -> int:
+        n = evaluator.n_factor - cursor["n_factor"]
+        cursor["n_factor"] = evaluator.n_factor
+        return n
 
     state: NLCGState | None = None
     for b, (freq, n_active) in enumerate(blocks):
-        current_freq["hz"] = freq
+        cursor["index"] = dataset.frequency_index(freq)
         if not config.nodal:
             if config.refresh_basis and b > 0:
                 current = clamped(field_of(x))[0].field
@@ -355,7 +423,7 @@ def run_inversion(
             IterationRecord(
                 block=b, iteration=0, misfit=value, step=0.0, dir_deriv=0.0,
                 n_active=x.size if not config.nodal else 0,
-                n_clamped=entry_clamped, accepted=True,
+                n_clamped=entry_clamped, accepted=True, n_factor=new_factors(),
             )
         )
         floor = float(np.linalg.norm(field_of(x).values))
@@ -368,6 +436,8 @@ def run_inversion(
                     dir_deriv=info.dir_deriv,
                     n_active=state.x.size if not config.nodal else 0,
                     n_clamped=clamp_count["last"], accepted=info.accepted,
+                    n_backtracks=info.n_backtracks, was_reset=info.was_reset,
+                    n_factor=new_factors(),
                 )
             )
             if state.failed:

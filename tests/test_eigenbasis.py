@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from eigenwave.diffusion import DiffusionSpec, assemble_diffusion
 from eigenwave.eigenbasis import (
@@ -184,6 +185,21 @@ class TestBasis:
         m, basis = salt_basis
         with pytest.raises(GridError):
             project(m, basis, basis.n_vectors + 1)
+
+    def test_one_factorization_per_build(self, salt_basis, monkeypatch):
+        m, basis = salt_basis
+        factored = []
+        splu = spla.splu
+
+        def counting_splu(*args, **kwargs):
+            factored.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        again = build_basis(m, basis.spec, basis.n_vectors)
+        assert len(factored) == 1
+        np.testing.assert_array_equal(again.eigenvalues, basis.eigenvalues)
+        np.testing.assert_array_equal(again.m0.values, basis.m0.values)
 
 
 class TestArchive:

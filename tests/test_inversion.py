@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from eigenwave.diffusion import DiffusionSpec
 from eigenwave.eigenbasis import build_basis, project, reconstruct
-from eigenwave.grid import Grid2D, GridError, Model, ScalarField, speed_to_slowness
+from eigenwave.grid import Grid2D, GridError, Model, ScalarField, clamp_model, speed_to_slowness
 from eigenwave.helmholtz import Acquisition
 from eigenwave.inversion import (
     InversionConfig,
+    MisfitEvaluator,
     NLCGState,
     gradient_alpha,
     gradient_nodal,
@@ -116,6 +118,26 @@ class TestGradient:
         np.testing.assert_allclose(grad_both, parts, rtol=1e-10, atol=1e-18)
 
 
+class TestMisfitEvaluator:
+    def test_entry_reused_until_gradient(self):
+        g, m_true, acq, ds = small_setup(seed=8)
+        rng = np.random.default_rng(8)
+        speeds = 1500.0 + 300.0 * rng.random(g.n_nodes)
+        model = speed_to_slowness(ScalarField(g, speeds), 500.0, 9000.0)
+        ev = MisfitEvaluator(ds, g)
+        value = ev.value(model, 0)
+        same = Model(ScalarField(g, model.m.copy()), 500.0, 9000.0)  # equal bytes
+        assert ev.value(same, 0) == value and ev.n_factor == 1
+        grad = ev.gradient(same, 0)
+        assert ev.n_factor == 1
+        # a gradient releases the entry: the next evaluation factors again
+        assert ev.value(model, 0) == value and ev.n_factor == 2
+        np.testing.assert_array_equal(grad, gradient_nodal(model, ds).values)
+        nudged = Model(ScalarField(g, model.m * (1.0 + 1e-15)), 500.0, 9000.0)
+        ev.value(nudged, 0)
+        assert ev.n_factor == 3
+
+
 class TestGradientAlpha:
     @pytest.fixture(scope="class")
     def basis9(self):
@@ -217,6 +239,14 @@ class TestNLCG:
         np.testing.assert_array_equal(state.x, x)
 
 
+def trial_evaluations(record, config) -> int:
+    """Misfit evaluations one NLCG step made, from its StepInfo fields."""
+    if not record.accepted:  # failed searches, or a zero gradient (0 backtracks)
+        return record.n_backtracks * (2 if record.was_reset else 1)
+    restart = config.ls_max_backtracks + 1 if record.was_reset else 0
+    return record.n_backtracks + 1 + restart
+
+
 class TestRunInversion:
     @pytest.fixture(scope="class")
     def fwi_setup(self):
@@ -309,7 +339,10 @@ class TestRunInversion:
         _, hist = run_inversion(cfg, ds, m_start)
         hist.to_csv(tmp_path / "h.csv")
         lines = (tmp_path / "h.csv").read_text().strip().splitlines()
-        assert lines[0] == "block,iter,misfit,step,n_active,dir_deriv,n_clamped,accepted"
+        assert lines[0] == (
+            "block,iter,misfit,step,n_active,dir_deriv,n_clamped,accepted,"
+            "n_backtracks,was_reset,n_factor"
+        )
         assert len(lines) == 1 + len(hist.records)
         row = lines[1].split(",")
         assert float(row[2]) == hist.records[0].misfit
@@ -321,6 +354,60 @@ class TestRunInversion:
         )
         _, hist = run_inversion(cfg, ds, m_start)
         assert [b for b, _ in hist.snapshots] == [0, 1]
+
+    def test_gradient_at_accepted_point_does_not_factor(self, fwi_setup, monkeypatch):
+        g, m_true, m_start, ds2 = fwi_setup
+        ds = generate_data(m_true, ds2.acquisition, [4.0, 6.0])
+        factored = []
+        splu = spla.splu
+
+        def counting_splu(matrix, *args, **kwargs):
+            if np.iscomplexobj(matrix.data):
+                factored.append(matrix.shape)
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        cfg = InversionConfig(
+            frequencies=(4.0, 6.0), n_schedule=(4, 8), n_iter=4, spec=DiffusionSpec("eta3", 0.05)
+        )
+        _, hist = run_inversion(cfg, ds, m_start)
+        entries = [r for r in hist.records if r.iteration == 0]
+        steps = [r for r in hist.records if r.iteration > 0]
+        assert len(entries) == 2 and sum(r.accepted for r in steps) >= 4
+        trials = [trial_evaluations(r, cfg) for r in steps]
+        assert len(factored) == len(entries) + sum(trials)
+        assert [r.n_factor for r in entries] == [1, 1]
+        assert [r.n_factor for r in steps] == trials
+
+    @pytest.mark.parametrize("nodal", [False, True])
+    def test_cached_gradient_matches_fresh(self, fwi_setup, monkeypatch, nodal):
+        import eigenwave.inversion as inversion
+
+        g, m_true, m_start, ds = fwi_setup
+        spec = DiffusionSpec("eta3", 0.05)
+        cfg = InversionConfig(
+            frequencies=(6.0,), n_schedule=() if nodal else (6,), n_iter=3,
+            spec=None if nodal else spec, nodal=nodal,
+        )
+        seen = []
+        step = inversion.nlcg_step
+
+        def recording_step(state, *args, **kwargs):
+            seen.append((state.x.copy(), state.grad.copy()))
+            info = step(state, *args, **kwargs)
+            seen.append((state.x.copy(), state.grad.copy()))
+            return info
+
+        monkeypatch.setattr(inversion, "nlcg_step", recording_step)
+        run_inversion(cfg, ds, m_start)
+        assert len(seen) == 6
+        basis = None if nodal else build_basis(m_start.field, spec, 6)
+        for x, grad in seen:
+            m = x if nodal else basis.m0.values + basis.eigenvectors @ x
+            model, _ = clamp_model(ScalarField(g, m), m_start.c_min, m_start.c_max)
+            fresh = gradient_nodal(model, ds, [6.0])
+            fresh = fresh.values if nodal else gradient_alpha(fresh, basis, 6)
+            assert np.linalg.norm(grad - fresh) <= 1e-12 * np.linalg.norm(fresh)
 
 
 class TestChainRuleConsistency:
