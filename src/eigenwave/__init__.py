@@ -36,7 +36,6 @@ from .helmholtz import (
     assemble,
     point_source_rhs,
     sample_receivers,
-    solve,
 )
 from .inversion import (
     InversionConfig,

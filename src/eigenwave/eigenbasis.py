@@ -3,10 +3,12 @@
 A field m is represented as a boundary lift m0 plus a combination of the
 eigenvectors belonging to the N smallest eigenvalues of -div(eta grad)
 with homogeneous Dirichlet conditions.  build_basis factorizes the SPD
-matrix once; that LU gives the boundary lift, and the eigensolver runs
-Lanczos on its inverse (the smallest eigenvalues of A are the largest of
-A^-1), with full reorthogonalization and locked restarts so that multiple
-eigenvalues are resolved reliably.
+matrix once; that LU gives the boundary lift, and it is the shift-invert
+operator for ARPACK's implicitly restarted Lanczos (scipy's eigsh with
+sigma = 0: the smallest eigenvalues of A are the largest of A^-1).  Every
+returned pair is checked against the residual and orthonormality
+contracts after ARPACK returns.  Reference: Lehoucq, Sorensen & Yang,
+ARPACK Users' Guide (SIAM 1998).
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ LANCZOS_SEED = 20260810
 
 
 class EigenSolveError(RuntimeError):
-    """Lanczos failed to converge the requested eigenpairs."""
+    """The eigensolve failed: ARPACK did not converge, the operator could
+    not be factored, or a returned pair broke the residual or
+    orthonormality contract."""
 
 
 def smallest_eigenpairs(
@@ -46,18 +50,17 @@ def smallest_eigenpairs(
     n: int,
     rtol: float = EIG_RTOL,
     seed: int = LANCZOS_SEED,
-    max_sweeps: int = 30,
     lu: spla.SuperLU | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """N smallest eigenpairs of a sparse SPD matrix by shift-invert Lanczos.
+    """N smallest eigenpairs of a sparse SPD matrix by shift-invert ARPACK.
 
     Returns eigenvalues ascending and an orthonormal (dim, n) eigenvector
-    block, each pair satisfying ||A v - lam v|| <= rtol * lam.  Restart
-    sweeps draw a fresh start vector orthogonal to everything already
-    locked, which is what resolves degenerate eigenvalue clusters: one
-    Krylov sequence can only ever see one copy of a multiple eigenvalue.
-    `lu` is an existing factorization of `matrix` to reuse; without it the
-    matrix is factored here.
+    block, each pair satisfying ||A v - lam v|| <= rtol * lam and each
+    vector's largest-magnitude entry positive.  The start vector is drawn
+    from `seed`, so the result is reproducible.  `lu` is an existing
+    factorization of `matrix` to use as the shift-invert operator; without
+    it the matrix is factored here.  ARPACK needs n < dim - 1, so larger n
+    take a dense eigensolve.
     """
     A = sp.csc_matrix(matrix)
     dim = A.shape[0]
@@ -65,118 +68,40 @@ def smallest_eigenpairs(
         raise GridError(f"matrix must be square, got {A.shape}")
     if not 1 <= n <= dim:
         raise GridError(f"need 1 <= n <= {dim}, got n={n}")
-    if lu is None:
-        try:
-            lu = spla.splu(A, permc_spec=PERMC_SPEC)
-        except RuntimeError as exc:
-            raise EigenSolveError(f"factorization failed: {exc}") from exc
 
-    rng = np.random.default_rng(seed)
-    locked_v = np.empty((dim, 0))
-    locked_w: list[float] = []
-    best_open_residual = np.inf
-    prev_nth = np.inf
-    k_boost = 0  # doubles the Krylov size after a sweep that locked nothing
-    k_cap = min(dim, max(4 * n + 40, 160))
-    stagnant_at_cap = 0
-
-    for _ in range(max_sweeps):
-        n_locked = locked_v.shape[1]
-        if n_locked >= dim:
-            break
-        k = max(2 * max(n - n_locked, 0) + 20, 40) * (1 << k_boost)
-        k = min(dim - n_locked, k, k_cap)
-        q_block = np.zeros((dim, k))
-        alphas = np.zeros(k)
-        betas = np.zeros(max(k - 1, 0))
-
-        q = rng.standard_normal(dim)
-        q -= locked_v @ (locked_v.T @ q)
-        q /= np.linalg.norm(q)
-        q_block[:, 0] = q
-        steps = k
-        for j in range(k):
-            w = lu.solve(q_block[:, j])
-            alphas[j] = q_block[:, j] @ w
-            if j + 1 == k:
-                break
-            # full reorthogonalization, twice, against Lanczos and locked vectors
-            for _pass in range(2):
-                w -= q_block[:, : j + 1] @ (q_block[:, : j + 1].T @ w)
-                if n_locked:
-                    w -= locked_v @ (locked_v.T @ w)
-            beta = np.linalg.norm(w)
-            if beta < 1e-300:
-                steps = j + 1
-                break
-            betas[j] = beta
-            q_block[:, j + 1] = w / beta
-
-        try:
-            theta, s = sla.eigh_tridiagonal(
-                alphas[:steps], betas[: steps - 1], lapack_driver="stev"
-            )
-        except np.linalg.LinAlgError as exc:
-            raise EigenSolveError(
-                f"tridiagonal eigensolve failed (operator scaling {alphas[:steps].max():.2e}"
-                f"/{alphas[:steps].min():.2e}): {exc}"
-            ) from exc
-        # largest theta of A^-1 are the smallest eigenvalues of A
-        order = np.argsort(theta)[::-1]
-        n_check = min(steps, max(n - n_locked, 0) + 10)
-        new_v, new_w = [], []
-        for i in order[:n_check]:
-            if theta[i] <= 0.0:
-                continue
-            vec = q_block[:, :steps] @ s[:, i]
-            vec /= np.linalg.norm(vec)
-            lam = 1.0 / theta[i]
-            resid = np.linalg.norm(A @ vec - lam * vec) / lam
-            if resid <= rtol:
-                new_v.append(vec)
-                new_w.append(lam)
-            else:
-                best_open_residual = min(best_open_residual, resid)
-        if new_v:
-            locked_v = np.hstack([locked_v, np.column_stack(new_v)])
-            locked_w.extend(new_w)
-            stagnant_at_cap = 0
-        elif len(locked_w) < n:
-            k_boost += 1  # closely spaced remainder: give the restart more room
-            if k >= min(dim - n_locked, k_cap):
-                stagnant_at_cap += 1
-                if stagnant_at_cap >= 2:
-                    raise EigenSolveError(
-                        f"stagnated at Krylov cap {k_cap} with {len(locked_w)}/{n} pairs "
-                        f"locked, best open relative residual {best_open_residual:.3e} "
-                        "(operator likely too ill-conditioned for the residual contract)"
-                    )
-        if len(locked_w) >= n:
-            nth = np.sort(locked_w)[n - 1]
-            if nth >= prev_nth * (1.0 - 1e-12):
-                break  # an extra restart found nothing smaller: set is stable
-            prev_nth = nth
+    if n >= dim - 1:
+        vals, vecs = sla.eigh(A.toarray(), subset_by_index=[0, n - 1])
     else:
-        raise EigenSolveError(
-            f"no convergence after {max_sweeps} restarts: locked {len(locked_w)}/{n} "
-            f"pairs, best open relative residual {best_open_residual:.3e}"
-        )
-    if len(locked_w) < n:
-        raise EigenSolveError(
-            f"locked only {len(locked_w)}/{n} pairs, best open residual {best_open_residual:.3e}"
-        )
+        if lu is None:
+            try:
+                lu = spla.splu(A, permc_spec=PERMC_SPEC)
+            except RuntimeError as exc:
+                raise EigenSolveError(f"factorization failed: {exc}") from exc
+        # passing OPinv keeps eigsh from factoring A a second time
+        op_inv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
+        v0 = np.random.default_rng(seed).standard_normal(dim)
+        try:
+            vals, vecs = spla.eigsh(A, k=n, sigma=0.0, OPinv=op_inv, v0=v0, tol=0)
+        except spla.ArpackError as exc:
+            raise EigenSolveError(f"ARPACK failed for {n} pairs: {exc}") from exc
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
 
-    vals = np.asarray(locked_w)
-    take = np.argsort(vals)[:n]
-    vals = vals[take]
-    vecs = locked_v[:, take]
     for j in range(n):
         col = vecs[:, j]
         if col[np.argmax(np.abs(col))] < 0.0:
             vecs[:, j] = -col
-    gram = vecs.T @ vecs - np.eye(n)
-    if np.max(np.abs(gram)) > ORTHO_TOL:
-        raise EigenSolveError(f"orthonormality lost: max Gram defect {np.max(np.abs(gram)):.3e}")
+    resid = np.array([np.linalg.norm(A @ vecs[:, j] - vals[j] * vecs[:, j]) for j in range(n)])
+    bad = np.flatnonzero(~(resid <= rtol * vals))
+    if bad.size:
+        j = bad[0]
+        raise EigenSolveError(
+            f"{bad.size}/{n} pairs break the residual contract: pair {j} "
+            f"(lambda {vals[j]:.6e}) has relative residual {resid[j] / vals[j]:.3e} > {rtol:.1e}"
+        )
+    gram = np.max(np.abs(vecs.T @ vecs - np.eye(n)))
+    if gram > ORTHO_TOL:
+        raise EigenSolveError(f"orthonormality lost: max Gram defect {gram:.3e}")
     return vals, vecs
 
 
@@ -284,6 +209,7 @@ def reconstruct(d: DecomposedModel) -> ScalarField:
 # basis archive
 
 MANIFEST_NAME = "manifest.txt"
+MANIFEST_KEYS = ("kind", "beta", "n", "grid", "source_model_hash")
 
 
 def save_basis(directory: str | os.PathLike, basis: EigenBasis) -> Path:
@@ -307,40 +233,66 @@ def save_basis(directory: str | os.PathLike, basis: EigenBasis) -> Path:
 
 
 def load_basis(directory: str | os.PathLike) -> EigenBasis:
+    """Read an archive written by save_basis.
+
+    A missing or malformed manifest line, or a manifest whose grid or
+    vector count disagrees with m0 and the psi_* files, raises
+    FieldFileError.
+    """
     root = Path(directory)
-    text = (root / MANIFEST_NAME).read_text(encoding="ascii")
+    manifest = root / MANIFEST_NAME
     fields: dict[str, str] = {}
-    eigenvalues: list[float] = []
+    value_lines: list[str] = []
     in_vals = False
-    for raw in text.splitlines():
+    for raw in manifest.read_text(encoding="ascii").splitlines():
         line = raw.strip()
         if not line:
             continue
         if in_vals:
-            eigenvalues.append(float(line))
+            value_lines.append(line)
             continue
-        key, _, value = line.partition("=")
-        key = key.strip()
+        key, sep, value = (t.strip() for t in line.partition("="))
         if key == "eigenvalues":
             in_vals = True
-            continue
-        fields[key] = value.strip()
-    spec = DiffusionSpec(kind=fields["kind"], beta=float(fields["beta"]))
-    n = int(fields["n"])
-    if len(eigenvalues) != n:
+        elif sep and key in MANIFEST_KEYS:
+            fields[key] = value
+        else:
+            raise fileio.FieldFileError(f"{manifest}: unrecognized line {line!r}")
+    for key in MANIFEST_KEYS:
+        if key not in fields:
+            raise fileio.FieldFileError(f"{manifest}: missing '{key} =' line")
+    try:
+        spec = DiffusionSpec(kind=fields["kind"], beta=float(fields["beta"]))
+        n = int(fields["n"])
+        nx, nz, hx, hz, x0, z0 = fields["grid"].split()
+        grid = Grid2D(int(nx), int(nz), float(hx), float(hz), float(x0), float(z0))
+        eigenvalues = np.array([float(v) for v in value_lines])
+    except ValueError as exc:  # DiffusionError and GridError included
+        raise fileio.FieldFileError(f"{manifest}: malformed value: {exc}") from exc
+    if eigenvalues.size != n:
         raise fileio.FieldFileError(
-            f"manifest promises {n} eigenvalues, found {len(eigenvalues)}"
+            f"manifest promises {n} eigenvalues, found {eigenvalues.size}"
+        )
+    names = {f"psi_{k + 1:04d}.ewf" for k in range(n)}
+    found = {p.name for p in root.glob("psi_*.ewf")}
+    if found != names:
+        raise fileio.FieldFileError(
+            f"{manifest}: n = {n}, but the psi_* files are not psi_0001..psi_{n:04d} "
+            f"({len(found)} found)"
         )
     m0 = fileio.read_field(root / "m0.ewf")
+    if m0.grid != grid:
+        raise fileio.FieldFileError(f"{manifest}: grid {grid} disagrees with m0.ewf {m0.grid}")
     vecs = np.empty((m0.grid.n_nodes, n))
     for k in range(n):
         psi = fileio.read_field(root / f"psi_{k + 1:04d}.ewf")
-        same_grid(psi.grid, m0.grid)
+        if psi.grid != grid:
+            raise fileio.FieldFileError(f"psi_{k + 1:04d}.ewf grid {psi.grid} disagrees with {grid}")
         vecs[:, k] = psi.values
     return EigenBasis(
         spec=spec,
         source_model_hash=fields["source_model_hash"],
         m0=m0,
-        eigenvalues=np.asarray(eigenvalues),
+        eigenvalues=eigenvalues,
         eigenvectors=vecs,
     )

@@ -53,9 +53,6 @@ class Grid2D:
     def flatten(self, ix, iz):
         return iz * self.nx + ix
 
-    def unflatten(self, idx):
-        return idx % self.nx, idx // self.nx
-
     def node_x(self, ix):
         return self.x0 + ix * self.hx
 

@@ -281,7 +281,3 @@ def receiver_matrix(grid: Grid2D, acq: Acquisition) -> sp.csr_matrix:
 def sample_receivers(u: ComplexField, acq: Acquisition) -> np.ndarray:
     """Bilinear interpolation of the field at every receiver position."""
     return receiver_matrix(u.grid, acq) @ u.values
-
-
-def solve(op: HelmholtzOperator, rhs_batch) -> list[ComplexField]:
-    return op.solve(rhs_batch)

@@ -1,7 +1,8 @@
 import pytest
 
-from eigenwave.cli import EXIT_IO, EXIT_OK, main
+from eigenwave.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from eigenwave.dataset import MANIFEST_NAME
+from eigenwave.eigenbasis import load_basis
 from eigenwave.fileio import read_field, write_field
 from eigenwave.grid import Grid2D
 from eigenwave.inversion import InversionHistory
@@ -118,3 +119,61 @@ def test_dropped_frequency_line_is_io_error(synth_dir):
         (bad / path.name).write_bytes(text)
     cfg = invert_config(synth_dir, "bad_dataset", "inv_bad")
     assert main(["invert", "--config", cfg]) == EXIT_IO
+
+
+def basis_config(root, out, eta="eta3", n_list="5 10"):
+    return write_config(
+        root / f"{out}.ini",
+        f"""\
+[model]
+path = synth/model_true.ewf
+
+[spec]
+eta = {eta}
+beta = 0.05
+beta_list = 0.01 0.1 1
+n_list = {n_list}
+
+[output]
+dir = {out}
+""",
+    )
+
+
+def test_decompose_writes_report_and_reconstructions(synth_dir):
+    assert main(["decompose", "--config", basis_config(synth_dir, "dec")]) == EXIT_OK
+    report = (synth_dir / "dec" / "decomposition_report.csv").read_text().splitlines()
+    assert report[0] == "beta,err_N5,err_N10"
+    assert len(report) == 1 + 3 + 2  # header, one row per beta, one best line per N
+    for n in (5, 10):
+        recon = read_field(synth_dir / "dec" / f"recon_N{n:04d}.ewf")
+        assert recon.grid == Grid2D(nx=24, nz=12, hx=50.0, hz=50.0)
+
+
+def test_decompose_threads_do_not_change_report(synth_dir):
+    reports = []
+    for threads in ("1", "2"):
+        cfg = basis_config(synth_dir, f"dec_t{threads}")
+        assert main(["decompose", "--config", cfg, "--threads", threads]) == EXIT_OK
+        reports.append((synth_dir / f"dec_t{threads}" / "decomposition_report.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_dump_basis_round_trip(synth_dir):
+    assert main(["dump-basis", "--config", basis_config(synth_dir, "dump")]) == EXIT_OK
+    basis = load_basis(synth_dir / "dump" / "basis")
+    assert basis.n_vectors == 10
+    assert basis.spec.kind == "eta3" and basis.spec.beta == 0.05
+    listed = (synth_dir / "dump" / "eigenvalues.txt").read_text().split()
+    assert [float(v) for v in listed] == basis.eigenvalues.tolist()
+
+
+@pytest.mark.parametrize("command", ["decompose", "dump-basis"])
+def test_unknown_eta_is_config_error(synth_dir, command):
+    cfg = basis_config(synth_dir, f"bad_eta_{command}", eta="eta42")
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+
+
+def test_basis_larger_than_interior_is_numerical_error(synth_dir):
+    cfg = basis_config(synth_dir, "too_many", n_list=str(22 * 10 + 1))  # interior is 22x10
+    assert main(["dump-basis", "--config", cfg]) == EXIT_NUMERICAL

@@ -1,9 +1,17 @@
+import shutil
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from eigenwave.diffusion import DiffusionSpec, assemble_diffusion
+from eigenwave.diffusion import DiffusionSpec, assemble_diffusion, eval_eta, gradient_norms
 from eigenwave.eigenbasis import (
+    MANIFEST_KEYS,
+    MANIFEST_NAME,
     EigenSolveError,
     build_basis,
     load_basis,
@@ -12,7 +20,9 @@ from eigenwave.eigenbasis import (
     save_basis,
     smallest_eigenpairs,
 )
+from eigenwave.fileio import FieldFileError
 from eigenwave.grid import Grid2D, GridError, ScalarField, relative_error
+from eigenwave.synthetics import Dome, SaltModelSpec, make_salt_model
 
 
 def field(grid, values):
@@ -84,6 +94,58 @@ class TestSmallestEigenpairs:
         exact = laplacian_spectrum(g)[:10]
         assert np.any(np.isclose(np.diff(exact), 0.0, atol=1e-14))  # has multiplicity
         np.testing.assert_allclose(vals, exact, rtol=1e-10)
+
+    @pytest.mark.parametrize("below_dim", [2, 1, 0])
+    def test_sizes_around_dense_switch(self, below_dim):
+        # ARPACK takes n < dim - 1; n = dim - 1 and n = dim go dense
+        rng = np.random.default_rng(12)
+        g = Grid2D(nx=7, nz=6, hx=1.0, hz=1.0)
+        op = assemble_diffusion(field(g, rng.random(g.n_nodes) + 0.1))
+        dim = op.matrix.shape[0]
+        n = dim - below_dim
+        vals, vecs = smallest_eigenpairs(op.matrix, n)
+        assert vecs.shape == (dim, n)
+        np.testing.assert_allclose(vals, np.linalg.eigvalsh(op.matrix.toarray())[:n], rtol=1e-10)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) <= 1e-8
+        for j in range(n):
+            col = vecs[:, j]
+            assert col[np.argmax(np.abs(col))] > 0.0
+
+    @pytest.mark.parametrize("n", [4, 20])  # ARPACK and dense paths of a dim-20 operator
+    def test_residual_contract_checked(self, n):
+        g = Grid2D(nx=7, nz=6, hx=1.0, hz=1.0)
+        op = assemble_diffusion(field(g, np.linspace(1.0, 2.0, g.n_nodes)))
+        with pytest.raises(EigenSolveError, match="residual"):
+            smallest_eigenpairs(op.matrix, n, rtol=1e-30)
+
+    def test_orthonormality_checked(self, monkeypatch):
+        g = Grid2D(nx=7, nz=6, hx=1.0, hz=1.0)
+        op = assemble_diffusion(field(g, np.linspace(1.0, 2.0, g.n_nodes)))
+        eigsh = spla.eigsh
+
+        def repeated_pair(*args, **kwargs):
+            vals, vecs = eigsh(*args, **kwargs)
+            vals[1], vecs[:, 1] = vals[0], vecs[:, 0]
+            return vals, vecs
+
+        monkeypatch.setattr(spla, "eigsh", repeated_pair)
+        with pytest.raises(EigenSolveError, match="orthonormality"):
+            smallest_eigenpairs(op.matrix, 4)
+
+    @pytest.mark.parametrize("spec", [DiffusionSpec("eta3", 1e-5), DiffusionSpec("eta4", 1e-7)])
+    def test_ill_conditioned_gives_smallest_pairs_or_raises(self, spec):
+        # condition numbers 2e10 and 3e9: a solver may give up, but it must
+        # not return pairs that pass the residual check yet skip smaller ones
+        g = Grid2D(nx=40, nz=20, hx=50.0, hz=50.0)
+        salt = SaltModelSpec(1500.0, 2000.0, (Dome(1000.0, 500.0, 300.0, 200.0, 4000.0),), 800.0, 5000.0)
+        m = make_salt_model(salt, g).field
+        op = assemble_diffusion(eval_eta(spec, gradient_norms(m)))
+        try:
+            vals, _ = smallest_eigenpairs(op.matrix, 30)
+        except EigenSolveError:
+            return
+        dense = np.linalg.eigvalsh(op.matrix.toarray())[:30]
+        np.testing.assert_allclose(vals, dense, rtol=1e-5)
 
     def test_n_out_of_range(self):
         g = Grid2D(nx=5, nz=5, hx=1.0, hz=1.0)
@@ -202,6 +264,13 @@ class TestBasis:
         np.testing.assert_array_equal(again.m0.values, basis.m0.values)
 
 
+    def test_rebuild_is_bit_identical(self, salt_basis):
+        m, basis = salt_basis
+        again = build_basis(m, basis.spec, basis.n_vectors)
+        np.testing.assert_array_equal(again.eigenvalues, basis.eigenvalues)
+        np.testing.assert_array_equal(again.eigenvectors, basis.eigenvectors)
+
+
 class TestArchive:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -225,3 +294,76 @@ class TestArchive:
         assert "kind = eta9" in text
         assert "eigenvalues =" in text
         assert len([l for l in text.splitlines() if l.startswith("  ")]) == 4
+
+
+@pytest.fixture(scope="module")
+def archive(tmp_path_factory):
+    g = Grid2D(nx=21, nz=11, hx=10.0, hz=10.0)
+    m = field(g, np.linspace(1.5, 3.0, g.n_nodes) ** 2)
+    root = tmp_path_factory.mktemp("archive") / "basis"
+    save_basis(root, build_basis(m, DiffusionSpec("eta4", 0.1), 4))
+    return root
+
+
+def edited_copy(archive, dest, edit):
+    """Copy the archive to `dest` with `edit` applied to its manifest lines."""
+    shutil.copytree(archive, dest)
+    lines = (archive / MANIFEST_NAME).read_text().splitlines()
+    (dest / MANIFEST_NAME).write_text("\n".join(edit(lines)) + "\n")
+    return dest
+
+
+class TestLoadBasisChecks:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        nx=st.integers(3, 40),
+        nz=st.integers(3, 40),
+        hx=st.sampled_from([10.0, 12.5]),
+    )
+    def test_grid_line_must_match_files(self, archive, nx, nz, hx):
+        assume((nx, nz, hx) != (21, 11, 10.0))
+
+        def edit(lines):
+            return [f"grid = {nx} {nz} {hx!r} 10.0 0.0 0.0" if l.startswith("grid") else l
+                    for l in lines]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = edited_copy(archive, Path(tmp) / "b", edit)
+            with pytest.raises(FieldFileError, match="grid"):
+                load_basis(bad)
+
+    @pytest.mark.parametrize("key", MANIFEST_KEYS)
+    def test_missing_key(self, archive, tmp_path, key):
+        bad = edited_copy(
+            archive, tmp_path / "b", lambda lines: [l for l in lines if not l.startswith(key + " ")]
+        )
+        with pytest.raises(FieldFileError, match=f"missing '{key} ='"):
+            load_basis(bad)
+
+    @pytest.mark.parametrize(
+        "line, replacement",
+        [("  ", "  not-a-number"), ("beta", "beta = fast"), ("n =", "n = four"),
+         ("grid", "grid = 21 11 10.0 10.0 0.0"), ("kind", "kind = eta99")],
+    )
+    def test_malformed_value(self, archive, tmp_path, line, replacement):
+        def edit(lines):
+            first = next(i for i, l in enumerate(lines) if l.startswith(line))
+            return lines[:first] + [replacement] + lines[first + 1:]
+
+        with pytest.raises(FieldFileError, match="malformed"):
+            load_basis(edited_copy(archive, tmp_path / "b", edit))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_n_must_match_psi_files(self, archive, tmp_path, n):
+        def edit(lines):
+            head = ["n = %d" % n if l.startswith("n =") else l for l in lines]
+            vals = [l for l in head if l.startswith("  ")]
+            rest = [l for l in head if not l.startswith("  ")]
+            return rest + (vals + vals)[:n]
+
+        with pytest.raises(FieldFileError, match="psi_"):
+            load_basis(edited_copy(archive, tmp_path / "b", edit))
+
+    def test_unedited_copy_loads(self, archive, tmp_path):
+        back = load_basis(edited_copy(archive, tmp_path / "b", lambda lines: lines))
+        np.testing.assert_array_equal(back.eigenvectors, load_basis(archive).eigenvectors)

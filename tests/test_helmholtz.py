@@ -10,7 +10,6 @@ from eigenwave.helmholtz import (
     point_source_rhs,
     receiver_matrix,
     sample_receivers,
-    solve,
 )
 
 
@@ -189,7 +188,7 @@ class TestSolve:
     def test_zero_rhs_gives_zero(self):
         g = Grid2D(nx=9, nz=8, hx=10.0, hz=10.0)
         op = assemble(homogeneous_model(g), omega=20.0)
-        u = solve(op, [np.zeros(g.n_nodes, dtype=complex)])[0]
+        u = op.solve([np.zeros(g.n_nodes, dtype=complex)])[0]
         assert np.all(u.values == 0.0)
 
     def test_recovers_constructed_solution(self):
@@ -198,7 +197,7 @@ class TestSolve:
         op = assemble(homogeneous_model(g), omega=25.0)
         w = rng.standard_normal(g.n_nodes) + 1j * rng.standard_normal(g.n_nodes)
         f = op.matrix @ w
-        u = solve(op, [f])[0]
+        u = op.solve([f])[0]
         np.testing.assert_allclose(u.values, w, rtol=1e-9, atol=1e-12)
 
     def test_batch_solve(self):
@@ -207,7 +206,7 @@ class TestSolve:
         op = assemble(homogeneous_model(g), omega=25.0)
         ws = rng.standard_normal((3, g.n_nodes)) * (1.0 + 0.5j)
         fs = [op.matrix @ w for w in ws]
-        sols = solve(op, fs)
+        sols = op.solve(fs)
         for u, w in zip(sols, ws):
             np.testing.assert_allclose(u.values, w, rtol=1e-9, atol=1e-12)
 
@@ -215,7 +214,7 @@ class TestSolve:
         g = Grid2D(nx=31, nz=21, hx=10.0, hz=10.0)
         op = assemble(homogeneous_model(g), omega=2 * np.pi * 12.0)
         f = point_source_rhs(g, 150.0, 100.0, 1.0)
-        u = solve(op, [f])[0]
+        u = op.solve([f])[0]
         resid = np.linalg.norm(op.matrix @ u.values - f)
         assert resid <= 1e-10 * max(1.0, np.linalg.norm(f))
 
@@ -223,7 +222,7 @@ class TestSolve:
         g = Grid2D(nx=5, nz=4, hx=10.0, hz=10.0)
         op = assemble(homogeneous_model(g), omega=10.0)
         with pytest.raises(GridError):
-            solve(op, [np.zeros(7, dtype=complex)])
+            op.solve([np.zeros(7, dtype=complex)])
 
     def test_adjoint_solve_uses_conjugate_transpose(self):
         rng = np.random.default_rng(9)
@@ -242,8 +241,8 @@ class TestPhysics:
         op = assemble(model, omega=2 * np.pi * 10.0)
         p_a = (150.0, 200.0)
         p_b = (420.0, 350.0)
-        u_ab = solve(op, [point_source_rhs(g, *p_a, 1.0)])[0]
-        u_ba = solve(op, [point_source_rhs(g, *p_b, 1.0)])[0]
+        u_ab = op.solve([point_source_rhs(g, *p_a, 1.0)])[0]
+        u_ba = op.solve([point_source_rhs(g, *p_b, 1.0)])[0]
         v_at_b = u_ab.values[g.flatten(42, 35)]
         v_at_a = u_ba.values[g.flatten(15, 20)]
         assert abs(v_at_b - v_at_a) / abs(v_at_b) < 0.01
@@ -262,7 +261,7 @@ class TestPhysics:
             f = ((2.0 * np.pi**2 / L**2 - omega**2 * m_val) * u_star).reshape(-1)
             rhs = f.astype(complex)
             rhs[op.dirichlet_mask] = 0.0
-            u = solve(op, [rhs])[0]
+            u = op.solve([rhs])[0]
             return float(np.max(np.abs(u.values.real - u_star.reshape(-1))))
 
         errs = [max_err(n) for n in (17, 33, 65)]
@@ -278,7 +277,7 @@ class TestPhysics:
             g = Grid2D(nx=nx, nz=nx, hx=L / (nx - 1), hz=L / (nx - 1))
             model = homogeneous_model(g)
             op = assemble(model, 2 * np.pi * 15.0)
-            u = solve(op, [point_source_rhs(g, L / 2, L / 2, 1.0)])[0]
+            u = op.solve([point_source_rhs(g, L / 2, L / 2, 1.0)])[0]
             xs = np.linspace(L / 2 + 80.0, L / 2 + 320.0, 13)
             acq = Acquisition(
                 sources=((L / 2, L / 2, 1.0),), receivers=tuple((x, L / 2) for x in xs)
