@@ -35,7 +35,6 @@ from .helmholtz import (
     HelmholtzOperator,
     assemble,
     point_source_rhs,
-    sample_receivers,
 )
 from .inversion import (
     InversionConfig,

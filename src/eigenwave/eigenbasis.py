@@ -35,6 +35,9 @@ from .helmholtz import PERMC_SPEC
 
 EIG_RTOL = 1e-8
 ORTHO_TOL = 1e-8
+# magnitudes within this relative distance of a vector's largest count as
+# tied for the sign rule
+SIGN_TIE_RTOL = 1e-8
 # fixed internal seed: eigenvector bases must be reproducible run to run
 LANCZOS_SEED = 20260810
 
@@ -55,8 +58,11 @@ def smallest_eigenpairs(
     """N smallest eigenpairs of a sparse SPD matrix by shift-invert ARPACK.
 
     Returns eigenvalues ascending and an orthonormal (dim, n) eigenvector
-    block, each pair satisfying ||A v - lam v|| <= rtol * lam and each
-    vector's largest-magnitude entry positive.  The start vector is drawn
+    block, each pair satisfying ||A v - lam v|| <= rtol * lam.  Each
+    vector's sign makes positive the first entry whose magnitude is within
+    SIGN_TIE_RTOL of its largest: on a mirror-symmetric model the two
+    largest entries of an antisymmetric vector tie, and picking the single
+    largest would leave the sign to rounding.  The start vector is drawn
     from `seed`, so the result is reproducible.  `lu` is an existing
     factorization of `matrix` to use as the shift-invert operator; without
     it the matrix is factored here.  ARPACK needs n < dim - 1, so larger n
@@ -88,9 +94,9 @@ def smallest_eigenpairs(
         vals, vecs = vals[order], vecs[:, order]
 
     for j in range(n):
-        col = vecs[:, j]
-        if col[np.argmax(np.abs(col))] < 0.0:
-            vecs[:, j] = -col
+        mag = np.abs(vecs[:, j])
+        if vecs[np.argmax(mag >= (1.0 - SIGN_TIE_RTOL) * mag.max()), j] < 0.0:
+            vecs[:, j] *= -1.0
     resid = np.array([np.linalg.norm(A @ vecs[:, j] - vals[j] * vecs[:, j]) for j in range(n)])
     bad = np.flatnonzero(~(resid <= rtol * vals))
     if bad.size:
@@ -110,8 +116,8 @@ class EigenBasis:
     """Lift m0 plus eigenvectors of the diffusion operator built from one model.
 
     Eigenvectors are stored as full nodal columns (zero on every boundary
-    node), unit Euclidean norm, sign fixed so the largest-magnitude entry
-    is positive.
+    node), unit Euclidean norm, sign fixed so the first entry within
+    SIGN_TIE_RTOL of the largest magnitude is positive.
     """
 
     spec: DiffusionSpec

@@ -276,8 +276,3 @@ def receiver_matrix(grid: Grid2D, acq: Acquisition) -> sp.csr_matrix:
                 cols.append(col)
                 vals.append(w)
     return sp.csr_matrix((vals, (rows, cols)), shape=(acq.n_receivers, grid.n_nodes))
-
-
-def sample_receivers(u: ComplexField, acq: Acquisition) -> np.ndarray:
-    """Bilinear interpolation of the field at every receiver position."""
-    return receiver_matrix(u.grid, acq) @ u.values

@@ -8,8 +8,16 @@ is diagonal: -omega^2 on interior rows plus the absorbing-row term
 -i*omega/(2 sqrt(m) h), both carried by HelmholtzOperator.ddiag_dm, so
 finite-difference checks pass with no boundary carve-outs.
 
-Minimization is Polak-Ribiere+ nonlinear conjugate gradient with Armijo
-backtracking, restarted at every (frequency, N) block boundary.
+Minimization is Polak-Ribiere+ nonlinear conjugate gradient with an
+Armijo line search, restarted at every (frequency, N) block boundary.
+Each trial point of a search costs one Helmholtz factorization, so the
+search is built to need few: its first trial is warm-started from the
+previous accepted step (Nocedal & Wright, Numerical Optimization, eq.
+3.60), and a rejected trial is followed by the minimizer of the quadratic
+through phi(0), phi'(0) and phi(mu) instead of a fixed halving.  The
+warm start is not carried into a new block: a step length from the old
+frequency or basis size passes the Armijo test at once while far too
+short, and the inversion stalls at a higher misfit.
 
 All simulation goes through MisfitEvaluator, which keeps the last
 (model, frequency) it simulated: the Helmholtz operator with its LU, the
@@ -17,17 +25,17 @@ forward wavefields and the receiver residual.  The key is the exact bytes
 of the clamped squared slowness that was simulated, so a hit returns
 bit-for-bit what a fresh evaluation would.  A line search ends on the
 point it accepts, so the gradient there costs one adjoint solve and no
-factorization; per accepted step that saves one of the roughly four
-factorizations the search makes.  The entry is dropped as soon as a
-gradient is taken (the next search never revisits that point) and
-before a new LU is built, so no more than one LU is alive at a time;
-keeping it past the gradient would only raise peak memory.
+factorization.  The entry is dropped as soon as a gradient is taken (the
+next search never revisits that point) and before a new LU is built, so
+no more than one LU is alive at a time; keeping it past the gradient
+would only raise peak memory.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -45,6 +53,15 @@ class InversionConfig:
     frequencies and n_schedule pair up into optimization blocks: equal
     lengths pair elementwise, a single frequency spreads over an
     N-progression, a single N spreads over the frequency sweep.
+
+    Line search: a trial step mu is accepted when it passes the Armijo
+    test with constant armijo_c1.  The first search of a block, and the
+    steepest-descent retry after a failed CG search, start at
+    ls_init_scale * ||x|| / ||s|| (||x|| floored, see nlcg_step); later
+    searches start from the previous accepted step.  A rejected trial moves to the quadratic model's
+    minimizer, kept within [0.1 mu, ls_shrink * mu], so ls_shrink is the
+    largest fraction of mu one backtrack keeps.  A search gives up after
+    ls_max_backtracks backtracks.
     """
 
     frequencies: tuple[float, ...]
@@ -112,6 +129,8 @@ class IterationRecord:
     n_backtracks: int = 0
     was_reset: bool = False
     n_factor: int = 0  # Helmholtz factorizations since the previous record
+    wall_s: float = 0.0  # seconds since the previous record (since the call, for the first)
+    grad_norm: float = 0.0  # ||g|| of the optimized parameters at the recorded point
 
 
 @dataclass
@@ -124,7 +143,7 @@ class InversionHistory:
 
     CSV_HEADER = (
         "block,iter,misfit,step,n_active,dir_deriv,n_clamped,accepted,"
-        "n_backtracks,was_reset,n_factor"
+        "n_backtracks,was_reset,n_factor,wall_s,grad_norm"
     )
 
     def to_csv(self, path: str | os.PathLike) -> None:
@@ -133,7 +152,8 @@ class InversionHistory:
             lines.append(
                 f"{r.block},{r.iteration},{r.misfit:.17g},{r.step:.17g},"
                 f"{r.n_active},{r.dir_deriv:.17g},{r.n_clamped},{int(r.accepted)},"
-                f"{r.n_backtracks},{int(r.was_reset)},{r.n_factor}"
+                f"{r.n_backtracks},{int(r.was_reset)},{r.n_factor},"
+                f"{r.wall_s:.17g},{r.grad_norm:.17g}"
             )
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -242,7 +262,7 @@ def gradient_alpha(g_nodal: ScalarField, basis: EigenBasis, n_active: int) -> np
 
 
 # ---------------------------------------------------------------------------
-# nonlinear conjugate gradient with Armijo backtracking
+# nonlinear conjugate gradient with a warm-started, interpolating line search
 
 
 @dataclass
@@ -255,6 +275,7 @@ class NLCGState:
     dir_prev: np.ndarray | None = None
     grad_prev: np.ndarray | None = None
     failed: bool = False
+    last_step: tuple[float, float] | None = None  # (mu, phi'(0)) of the last accepted step
 
 
 @dataclass(frozen=True)
@@ -273,11 +294,20 @@ def nlcg_step(
     config: InversionConfig,
     step_norm_floor: float = 0.0,
 ) -> StepInfo:
-    """One PR+ step: direction, backtracking search, state update in place.
+    """One PR+ step: direction, Armijo line search, state update in place.
 
-    The trial step is mu0 = init_scale * max(||x||, floor) / ||s||; the
-    floor keeps the very first updates finite when the start model is
-    exactly represented by the lift (alpha = 0).  A failed search
+    Warm start: once the state holds an accepted step (mu_prev, d_prev),
+    the first trial is mu0 = mu_prev * d_prev / d, with d = g.s the
+    directional derivative along the new direction s, so the predicted
+    first-order decrease matches the last one.  Cold start: a state
+    without one, which run_inversion builds fresh at every block entry,
+    and the steepest-descent retry after a failed CG search use
+    mu0 = init_scale * max(||x||, floor) / ||s||; the floor keeps the
+    very first updates finite when the start model is exactly represented
+    by the lift (alpha = 0).  A trial that fails the Armijo test is
+    followed by the minimizer of the quadratic through phi(0) = value,
+    phi'(0) = d and phi(mu), clamped to [0.1 mu, shrink * mu]; without
+    positive curvature the next trial is shrink * mu.  A failed search
     retries once along steepest descent; a second failure marks the
     state failed so the caller can end the block.
     """
@@ -297,25 +327,36 @@ def nlcg_step(
                 s = cand
                 used_cg = True
 
-    def search(direction):
+    def search(direction, mu):
         d = float(g @ direction)
-        mu = config.ls_init_scale * max(
-            float(np.linalg.norm(state.x)), step_norm_floor
-        ) / float(np.linalg.norm(direction))
         for bt in range(config.ls_max_backtracks + 1):
             x_new = state.x + mu * direction
             value_new = eval_value(x_new)
             if value_new <= state.value + config.armijo_c1 * mu * d:
                 return x_new, value_new, mu, d, bt
-            mu *= config.ls_shrink
+            # minimizer of the quadratic through phi(0), phi'(0) and phi(mu)
+            curv = value_new - state.value - d * mu
+            shrunk = config.ls_shrink * mu
+            mu = min(max(-0.5 * d * mu * mu / curv, 0.1 * mu), shrunk) if curv > 0.0 else shrunk
         return None
 
+    def cold_trial(direction):
+        return config.ls_init_scale * max(
+            float(np.linalg.norm(state.x)), step_norm_floor
+        ) / float(np.linalg.norm(direction))
+
+    if state.last_step is None:
+        mu0 = cold_trial(s)
+    else:
+        mu_prev, d_prev = state.last_step
+        mu0 = mu_prev * d_prev / float(g @ s)
+
     was_reset = False
-    hit = search(s)
+    hit = search(s, mu0)
     if hit is None and used_cg:
         was_reset = True
         s = -g
-        hit = search(s)
+        hit = search(s, cold_trial(s))
     if hit is None:
         state.failed = True
         return StepInfo(
@@ -328,6 +369,7 @@ def nlcg_step(
     state.dir_prev = s
     state.x = x_new
     state.value = value_new
+    state.last_step = (mu, d)
     state.grad = eval_grad(x_new)
     return StepInfo(step=mu, dir_deriv=d, accepted=True, n_backtracks=bt, was_reset=was_reset)
 
@@ -348,6 +390,7 @@ def run_inversion(
     directly.  Every candidate model is clamped to the admissible speed
     box before simulation and clamp counts are logged.
     """
+    t_start = perf_counter()
     grid = m_start.grid
     c_min, c_max = m_start.c_min, m_start.c_max
     history = InversionHistory()
@@ -386,7 +429,7 @@ def run_inversion(
         return model
 
     evaluator = MisfitEvaluator(dataset, grid)
-    cursor = {"index": 0, "n_factor": 0}
+    cursor = {"index": 0, "n_factor": 0, "time": t_start}
 
     def eval_value(xvec: np.ndarray) -> float:
         return evaluator.value(model_of(xvec), cursor["index"])
@@ -397,10 +440,21 @@ def run_inversion(
             return g_nodal
         return gradient_alpha(ScalarField(grid, g_nodal), basis, xvec.size)
 
-    def new_factors() -> int:
-        n = evaluator.n_factor - cursor["n_factor"]
-        cursor["n_factor"] = evaluator.n_factor
-        return n
+    def log(block: int, iteration: int, state: NLCGState, **step) -> None:
+        """Record the state after a step, with the work done since the last record."""
+        now = perf_counter()
+        history.records.append(
+            IterationRecord(
+                block=block, iteration=iteration, misfit=state.value,
+                n_active=state.x.size if not config.nodal else 0,
+                n_clamped=clamp_count["last"],
+                n_factor=evaluator.n_factor - cursor["n_factor"],
+                wall_s=now - cursor["time"],
+                grad_norm=float(np.linalg.norm(state.grad)),
+                **step,
+            )
+        )
+        cursor["n_factor"], cursor["time"] = evaluator.n_factor, now
 
     state: NLCGState | None = None
     for b, (freq, n_active) in enumerate(blocks):
@@ -415,30 +469,17 @@ def run_inversion(
             elif x.size < n_active:
                 x = np.concatenate([x, np.zeros(n_active - x.size)])
 
-        value = eval_value(x)
-        entry_clamped = clamp_count["last"]
-        grad = eval_grad(x)
-        state = NLCGState(x=x, value=value, grad=grad)
-        history.records.append(
-            IterationRecord(
-                block=b, iteration=0, misfit=value, step=0.0, dir_deriv=0.0,
-                n_active=x.size if not config.nodal else 0,
-                n_clamped=entry_clamped, accepted=True, n_factor=new_factors(),
-            )
-        )
+        # a fresh state per block: no CG direction and no warm start carry over
+        state = NLCGState(x=x, value=eval_value(x), grad=eval_grad(x))
+        log(b, 0, state, step=0.0, dir_deriv=0.0, accepted=True)
         floor = float(np.linalg.norm(field_of(x).values))
         for it in range(1, config.n_iter + 1):
             info = nlcg_step(state, eval_value, eval_grad, config, step_norm_floor=floor)
             model_of(state.x)  # refresh clamp count for the accepted point
-            history.records.append(
-                IterationRecord(
-                    block=b, iteration=it, misfit=state.value, step=info.step,
-                    dir_deriv=info.dir_deriv,
-                    n_active=state.x.size if not config.nodal else 0,
-                    n_clamped=clamp_count["last"], accepted=info.accepted,
-                    n_backtracks=info.n_backtracks, was_reset=info.was_reset,
-                    n_factor=new_factors(),
-                )
+            log(
+                b, it, state, step=info.step, dir_deriv=info.dir_deriv,
+                accepted=info.accepted, n_backtracks=info.n_backtracks,
+                was_reset=info.was_reset,
             )
             if state.failed:
                 break

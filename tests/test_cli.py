@@ -1,7 +1,7 @@
 import pytest
 
 from eigenwave.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
-from eigenwave.dataset import MANIFEST_NAME
+from eigenwave.dataset import MANIFEST_NAME, load_dataset
 from eigenwave.eigenbasis import load_basis
 from eigenwave.fileio import read_field, write_field
 from eigenwave.grid import Grid2D
@@ -95,7 +95,7 @@ def test_synth_then_invert(synth_dir):
     assert main(["invert", "--config", cfg]) == EXIT_OK
     lines = (synth_dir / "inv" / "history.csv").read_text().strip().splitlines()
     assert lines[0] == InversionHistory.CSV_HEADER
-    assert lines[0].endswith(",n_backtracks,was_reset,n_factor")
+    assert lines[0].endswith(",n_backtracks,was_reset,n_factor,wall_s,grad_norm")
     assert len(lines) == 1 + 3 * 3  # entry plus two steps per block
     final = read_field(synth_dir / "inv" / "final_model.ewf")
     assert final.grid == Grid2D(nx=24, nz=12, hx=50.0, hz=50.0)
@@ -119,6 +119,43 @@ def test_dropped_frequency_line_is_io_error(synth_dir):
         (bad / path.name).write_bytes(text)
     cfg = invert_config(synth_dir, "bad_dataset", "inv_bad")
     assert main(["invert", "--config", cfg]) == EXIT_IO
+
+
+def forward_config(root, out, snr_line="snr_db = 30"):
+    return write_config(
+        root / f"{out}.ini",
+        f"""\
+[model]
+path = synth/model_true.ewf
+c_min = 800
+c_max = 5000
+
+[data]
+frequencies = 4 6
+{snr_line}
+
+[output]
+dir = {out}
+""",
+    )
+
+
+def test_forward_writes_reloadable_dataset(synth_dir):
+    cfg = forward_config(synth_dir, "fwd_clean", snr_line="")
+    assert main(["forward", "--config", cfg]) == EXIT_OK
+    ds = load_dataset(synth_dir / "fwd_clean" / "dataset")
+    assert ds.frequencies == (4.0, 6.0)
+    assert ds.data.shape == (2, 3, 10)  # frequencies, sources, receivers
+
+
+def test_forward_noise_is_seeded(synth_dir):
+    runs = {}
+    for out, seed in (("fwd_a", "5"), ("fwd_b", "5"), ("fwd_c", "6")):
+        assert main(["forward", "--config", forward_config(synth_dir, out), "--seed", seed]) == EXIT_OK
+        runs[out] = {p.name: p.read_bytes() for p in (synth_dir / out / "dataset").iterdir()}
+    assert runs["fwd_a"] == runs["fwd_b"]
+    assert runs["fwd_a"] != runs["fwd_c"]
+    assert load_dataset(synth_dir / "fwd_a" / "dataset").n_frequencies == 2
 
 
 def basis_config(root, out, eta="eta3", n_list="5 10"):

@@ -1,3 +1,5 @@
+from time import perf_counter
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -231,6 +233,68 @@ class TestNLCG:
                 break
             assert state.value <= value_before + cfg.armijo_c1 * info.step * info.dir_deriv + 1e-15
 
+    def test_overshooting_trial_backtracks_onto_minimizer(self):
+        # 1-D quadratic: the cold trial lands at 4, past the minimizer at 1,
+        # and the quadratic through phi(0), phi'(0), phi(mu) is exact
+        a = 3.0
+        state = NLCGState(x=np.zeros(1), value=0.5 * a, grad=np.array([-a]))
+        info = nlcg_step(
+            state,
+            lambda x: 0.5 * a * float((x[0] - 1.0) ** 2),
+            lambda x: a * (x - 1.0),
+            quadratic_config(),
+            step_norm_floor=80.0,  # cold trial 0.05 * 80 / a along s = a
+        )
+        assert info.accepted and info.n_backtracks == 1
+        assert abs(state.x[0] - 1.0) <= 1e-12
+        assert state.last_step == (info.step, info.dir_deriv)
+
+    def test_warm_start_accepts_first_trial(self):
+        rng = np.random.default_rng(5)
+        target = rng.standard_normal(12)
+        x = np.zeros(12)
+        state = NLCGState(x=x, value=0.5 * float(np.sum(target**2)), grad=x - target)
+        infos = []
+        while np.linalg.norm(state.x - target) > 1e-12 and len(infos) < 30:
+            infos.append(nlcg_step(
+                state,
+                lambda x: 0.5 * float(np.sum((x - target) ** 2)),
+                lambda x: x - target,
+                quadratic_config(),
+                step_norm_floor=float(np.linalg.norm(target)),
+            ))
+        assert np.linalg.norm(state.x - target) <= 1e-12
+        assert infos[0].step == pytest.approx(0.05, rel=1e-15)  # cold: init_scale * floor / ||g||
+        # on this isotropic quadratic the warm trial grows by 1/(1 - mu)^2 per
+        # step; every step is taken at it until the one that passes the
+        # Armijo limit, whose quadratic backtrack lands on the minimizer
+        for prev, info in zip(infos[:-2], infos[1:-1]):
+            assert info.accepted and info.n_backtracks == 0
+            assert info.step == pytest.approx(prev.step * prev.dir_deriv / info.dir_deriv, rel=1e-12)
+        assert len(infos) >= 8
+
+    def test_steepest_descent_retry_starts_cold(self):
+        # PR+ gives beta = 2 and s = (1, 2); the warm trial mu = 100 fails and,
+        # with no backtracks allowed, the retry along -g takes the cold trial
+        target = np.array([1.0, 0.0])
+        state = NLCGState(
+            x=np.zeros(2), value=0.5, grad=-target, dir_prev=np.array([0.0, 1.0]),
+            grad_prev=np.array([-0.5, 0.0]), last_step=(100.0, -1.0),
+        )
+        trials = []
+
+        def value(x):
+            trials.append(x.copy())
+            return 0.5 * float(np.sum((x - target) ** 2))
+
+        info = nlcg_step(
+            state, value, lambda x: x - target, quadratic_config(ls_max_backtracks=0),
+            step_norm_floor=1.0,
+        )
+        assert info.accepted and info.was_reset and info.n_backtracks == 0
+        np.testing.assert_allclose(trials, [[100.0, 200.0], [0.05, 0.0]], rtol=1e-15)
+        assert info.step == pytest.approx(0.05, rel=1e-15)
+
     def test_zero_gradient_is_noop(self):
         x = np.ones(3)
         state = NLCGState(x=x.copy(), value=0.0, grad=np.zeros(3))
@@ -341,7 +405,7 @@ class TestRunInversion:
         lines = (tmp_path / "h.csv").read_text().strip().splitlines()
         assert lines[0] == (
             "block,iter,misfit,step,n_active,dir_deriv,n_clamped,accepted,"
-            "n_backtracks,was_reset,n_factor"
+            "n_backtracks,was_reset,n_factor,wall_s,grad_norm"
         )
         assert len(lines) == 1 + len(hist.records)
         row = lines[1].split(",")
@@ -378,6 +442,64 @@ class TestRunInversion:
         assert len(factored) == len(entries) + sum(trials)
         assert [r.n_factor for r in entries] == [1, 1]
         assert [r.n_factor for r in steps] == trials
+
+    def test_each_block_starts_cold(self, fwi_setup, monkeypatch):
+        import eigenwave.inversion as inversion
+
+        g, m_true, m_start, ds = fwi_setup
+        cfg = InversionConfig(
+            frequencies=(6.0,), n_schedule=(4, 8), n_iter=3, spec=DiffusionSpec("eta3", 0.05)
+        )
+        calls = []
+        step = inversion.nlcg_step
+
+        def recording_step(state, eval_value, *args, **kwargs):
+            trials = []
+
+            def value(x):
+                trials.append(x.copy())
+                return eval_value(x)
+
+            call = dict(
+                state=state, x=state.x.copy(), grad=state.grad.copy(),
+                last_step=state.last_step, floor=kwargs["step_norm_floor"],
+            )
+            call["info"] = step(state, value, *args, **kwargs)
+            call.update(
+                first_trial=trials[0], grad_after=state.grad.copy(),
+                dir_after=state.dir_prev.copy(), last_after=state.last_step,
+            )
+            calls.append(call)
+            return call["info"]
+
+        monkeypatch.setattr(inversion, "nlcg_step", recording_step)
+        t0 = perf_counter()
+        _, hist = run_inversion(cfg, ds, m_start)
+        elapsed = perf_counter() - t0
+
+        entries = [i for i, c in enumerate(calls) if i == 0 or c["state"] is not calls[i - 1]["state"]]
+        assert entries == [0, 3] and all(c["info"].accepted for c in calls)
+        for i, c in enumerate(calls):
+            if i in entries:  # fresh state, steepest descent, cold trial
+                assert c["last_step"] is None
+                s = -c["grad"]
+                mu = cfg.ls_init_scale * max(np.linalg.norm(c["x"]), c["floor"]) / np.linalg.norm(s)
+            else:  # warm trial from the previous accepted step
+                mu_prev, d_prev = c["last_step"]
+                s = c["dir_after"]  # the direction this step searched along
+                mu = mu_prev * d_prev / float(c["grad"] @ s)
+            np.testing.assert_allclose(c["first_trial"], c["x"] + mu * s, rtol=1e-12)
+        # block 1's cold trial is not the one block 0's last step would carry
+        mu_prev, d_prev = calls[2]["last_after"]
+        carried = mu_prev * d_prev / -float(np.sum(calls[3]["grad"] ** 2))
+        cold = np.linalg.norm(calls[3]["first_trial"] - calls[3]["x"]) / np.linalg.norm(calls[3]["grad"])
+        assert abs(cold - carried) > 0.1 * cold
+
+        steps = [r for r in hist.records if r.iteration > 0]
+        assert [r.n_factor for r in steps] == [trial_evaluations(r, cfg) for r in steps]
+        assert [r.grad_norm for r in steps] == [float(np.linalg.norm(c["grad_after"])) for c in calls]
+        assert all(r.wall_s > 0.0 for r in hist.records)
+        assert sum(r.wall_s for r in hist.records) <= elapsed
 
     @pytest.mark.parametrize("nodal", [False, True])
     def test_cached_gradient_matches_fresh(self, fwi_setup, monkeypatch, nodal):
