@@ -7,7 +7,7 @@ from .diffusion import (
     assemble_diffusion,
     eval_eta,
     gradient_norms,
-    lift_m0,
+    lift_from_operator,
 )
 from .eigenbasis import (
     DecomposedModel,
@@ -21,7 +21,6 @@ from .eigenbasis import (
 )
 from .fileio import read_field, write_field, write_field_csv, write_pgm
 from .grid import (
-    ComplexField,
     Grid2D,
     Model,
     ScalarField,
@@ -40,7 +39,6 @@ from .inversion import (
     InversionConfig,
     InversionHistory,
     gradient_alpha,
-    gradient_nodal,
     misfit,
     misfit_and_gradient,
     run_inversion,

@@ -169,11 +169,14 @@ class RunConfig:
             z0=self.get_float("grid", "z0", 0.0),
         )
 
-    def diffusion_spec(self) -> DiffusionSpec:
+    def eta_kind(self) -> str:
         kind = self.get_str("spec", "eta")
         if kind not in ETA_KINDS:
             raise ConfigError(f"{self.path}: [spec] eta = {kind!r}, expected one of {ETA_KINDS}")
-        return DiffusionSpec(kind=kind, beta=self.get_float("spec", "beta", 1.0))
+        return kind
+
+    def diffusion_spec(self) -> DiffusionSpec:
+        return DiffusionSpec(kind=self.eta_kind(), beta=self.get_float("spec", "beta", 1.0))
 
     def beta_list(self, kind: str) -> tuple[float, ...]:
         if kind in BETA_FREE_KINDS:
@@ -257,39 +260,36 @@ class RunConfig:
 # commands
 
 
-def cmd_synth(cfg: RunConfig, seed: int, threads: int) -> int:
-    model = cfg.build_model(seed)
-    acq = cfg.acquisition()
-    freqs = cfg.get_floats("data", "frequencies")
-    ds = generate_data(model, acq, freqs)
+def _synthesize(cfg: RunConfig, model: Model, seed: int) -> tuple[FrequencyDataset, Path]:
+    """Data for `model` over the configured acquisition and frequencies, with
+    noise seeded by seed + 1 when [data] snr_db is set, saved to
+    <output dir>/dataset.  Returns the dataset and the output directory."""
+    ds = generate_data(model, cfg.acquisition(), cfg.get_floats("data", "frequencies"))
     if cfg.has("data", "snr_db"):
         ds = add_data_noise(ds, cfg.get_float("data", "snr_db"), seed + 1)
     out = fileio.ensure_dir(cfg.output_dir())
+    save_dataset(out / "dataset", ds)
+    return ds, out
+
+
+def cmd_synth(cfg: RunConfig, seed: int, threads: int) -> int:
+    model = cfg.build_model(seed)
+    ds, out = _synthesize(cfg, model, seed)
     fileio.write_field(out / "model_true.ewf", model.field)
     fileio.write_pgm(out / "model_true.pgm", model.speeds())
-    save_dataset(out / "dataset", ds)
     print(f"synth: wrote model and {ds.n_frequencies}-frequency dataset to {out}")
     return EXIT_OK
 
 
 def cmd_forward(cfg: RunConfig, seed: int, threads: int) -> int:
-    model = cfg.load_model("path")
-    acq = cfg.acquisition()
-    freqs = cfg.get_floats("data", "frequencies")
-    ds = generate_data(model, acq, freqs)
-    if cfg.has("data", "snr_db"):
-        ds = add_data_noise(ds, cfg.get_float("data", "snr_db"), seed + 1)
-    out = fileio.ensure_dir(cfg.output_dir())
-    save_dataset(out / "dataset", ds)
+    ds, out = _synthesize(cfg, cfg.load_model("path"), seed)
     print(f"forward: wrote {ds.n_frequencies}-frequency dataset to {out}")
     return EXIT_OK
 
 
 def cmd_decompose(cfg: RunConfig, seed: int, threads: int) -> int:
     model = cfg.load_model("path")
-    kind = cfg.get_str("spec", "eta")
-    if kind not in ETA_KINDS:
-        raise ConfigError(f"[spec] eta = {kind!r}, expected one of {ETA_KINDS}")
+    kind = cfg.eta_kind()
     n_list = cfg.get_ints("spec", "n_list", (10, 20, 50))
     betas = cfg.beta_list(kind)
     n_max = max(n_list)

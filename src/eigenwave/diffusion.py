@@ -161,10 +161,6 @@ class DiffusionOperator:
             object.__setattr__(self, "_lu", lu)
         return self._lu
 
-    @property
-    def n_interior(self) -> int:
-        return (self.grid.nx - 2) * (self.grid.nz - 2)
-
     def interior_indices(self) -> np.ndarray:
         g = self.grid
         ix, iz = np.meshgrid(np.arange(1, g.nx - 1), np.arange(1, g.nz - 1))
@@ -175,9 +171,6 @@ class DiffusionOperator:
         full = np.zeros(self.grid.n_nodes)
         full[self.interior_indices()] = interior
         return full
-
-    def restrict(self, full: np.ndarray) -> np.ndarray:
-        return full[self.interior_indices()]
 
 
 def assemble_diffusion(eta: ScalarField) -> DiffusionOperator:
@@ -243,14 +236,9 @@ def assemble_diffusion(eta: ScalarField) -> DiffusionOperator:
     return DiffusionOperator(grid=g, matrix=matrix, boundary_op=boundary_op)
 
 
-def lift_m0(m: ScalarField, eta: ScalarField) -> ScalarField:
-    """Interior solve of the diffusion equation with m's boundary values."""
-    same_grid(m.grid, eta.grid)
-    op = assemble_diffusion(eta)
-    return lift_from_operator(op, m)
-
-
 def lift_from_operator(op: DiffusionOperator, m: ScalarField) -> ScalarField:
+    """Boundary lift m0: interior solve of the diffusion equation with m's
+    boundary values, which m0 keeps on the boundary nodes."""
     same_grid(op.grid, m.grid)
     rhs = op.boundary_op @ m.values
     interior = op.factor().solve(rhs)

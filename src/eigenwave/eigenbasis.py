@@ -144,9 +144,6 @@ class EigenBasis:
     def n_vectors(self) -> int:
         return int(self.eigenvalues.size)
 
-    def vector_field(self, k: int) -> ScalarField:
-        return ScalarField(self.grid, self.eigenvectors[:, k])
-
 
 @dataclass(frozen=True)
 class DecomposedModel:
@@ -215,11 +212,16 @@ def reconstruct(d: DecomposedModel) -> ScalarField:
 # basis archive
 
 MANIFEST_NAME = "manifest.txt"
+PAYLOAD_NAME = "eigenvectors.f64"
 MANIFEST_KEYS = ("kind", "beta", "n", "grid", "source_model_hash")
 
 
 def save_basis(directory: str | os.PathLike, basis: EigenBasis) -> Path:
-    """Write manifest, m0 and one field file per eigenvector."""
+    """Write manifest.txt, the lift m0.ewf and the eigenvectors.f64 payload.
+
+    The payload is the raw little-endian float64 (n_nodes, n) eigenvector
+    block in C order, with no header: the manifest carries its grid and n.
+    """
     out = fileio.ensure_dir(directory)
     g = basis.grid
     lines = [
@@ -233,16 +235,16 @@ def save_basis(directory: str | os.PathLike, basis: EigenBasis) -> Path:
     lines += [f"  {float(v)!r}" for v in basis.eigenvalues]
     (out / MANIFEST_NAME).write_text("\n".join(lines) + "\n", encoding="ascii")
     fileio.write_field(out / "m0.ewf", basis.m0)
-    for k in range(basis.n_vectors):
-        fileio.write_field(out / f"psi_{k + 1:04d}.ewf", basis.vector_field(k))
+    basis.eigenvectors.astype("<f8", copy=False).tofile(out / PAYLOAD_NAME)
     return out
 
 
 def load_basis(directory: str | os.PathLike) -> EigenBasis:
     """Read an archive written by save_basis.
 
-    A missing or malformed manifest line, or a manifest whose grid or
-    vector count disagrees with m0 and the psi_* files, raises
+    A missing or malformed manifest line, a manifest grid that disagrees
+    with m0.ewf, or an eigenvectors.f64 payload whose size is not
+    n_nodes * n * 8 bytes for the manifest's grid and n raises
     FieldFileError.
     """
     root = Path(directory)
@@ -279,22 +281,17 @@ def load_basis(directory: str | os.PathLike) -> EigenBasis:
         raise fileio.FieldFileError(
             f"manifest promises {n} eigenvalues, found {eigenvalues.size}"
         )
-    names = {f"psi_{k + 1:04d}.ewf" for k in range(n)}
-    found = {p.name for p in root.glob("psi_*.ewf")}
-    if found != names:
-        raise fileio.FieldFileError(
-            f"{manifest}: n = {n}, but the psi_* files are not psi_0001..psi_{n:04d} "
-            f"({len(found)} found)"
-        )
     m0 = fileio.read_field(root / "m0.ewf")
     if m0.grid != grid:
         raise fileio.FieldFileError(f"{manifest}: grid {grid} disagrees with m0.ewf {m0.grid}")
-    vecs = np.empty((m0.grid.n_nodes, n))
-    for k in range(n):
-        psi = fileio.read_field(root / f"psi_{k + 1:04d}.ewf")
-        if psi.grid != grid:
-            raise fileio.FieldFileError(f"psi_{k + 1:04d}.ewf grid {psi.grid} disagrees with {grid}")
-        vecs[:, k] = psi.values
+    payload = (root / PAYLOAD_NAME).read_bytes()
+    expected = grid.n_nodes * n * 8
+    if len(payload) != expected:
+        raise fileio.FieldFileError(
+            f"{root / PAYLOAD_NAME}: {len(payload)} bytes, but n = {n} vectors of "
+            f"{grid.n_nodes} nodes need {expected}"
+        )
+    vecs = np.frombuffer(payload, dtype="<f8").reshape(grid.n_nodes, n)
     return EigenBasis(
         spec=spec,
         source_model_hash=fields["source_model_hash"],

@@ -102,9 +102,6 @@ class ScalarField:
         """View of the values shaped (nz, nx)."""
         return self.values.reshape(self.grid.nz, self.grid.nx)
 
-    def with_values(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.grid, values)
-
     def digest(self) -> str:
         """SHA-256 over grid geometry and raw little-endian payload."""
         g = self.grid
@@ -112,27 +109,6 @@ class ScalarField:
         h.update(f"{g.nx} {g.nz} {g.hx!r} {g.hz!r} {g.x0!r} {g.z0!r}".encode())
         h.update(self.values.astype("<f8").tobytes())
         return h.hexdigest()
-
-
-@dataclass(frozen=True)
-class ComplexField:
-    """Complex nodal field (pressure solutions) on a Grid2D."""
-
-    grid: Grid2D
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.grid.n_nodes,):
-            raise GridError(f"expected {self.grid.n_nodes} values, got {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise GridError("field values must be finite")
-        vals = np.ascontiguousarray(vals)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def as_2d(self) -> np.ndarray:
-        return self.values.reshape(self.grid.nz, self.grid.nx)
 
 
 @dataclass(frozen=True)

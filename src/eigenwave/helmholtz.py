@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import ComplexField, Grid2D, GridError, Model, same_grid
+from .grid import Grid2D, GridError, Model
 
 RESIDUAL_RTOL = 1e-10
 # column ordering for every sparse LU: minimum degree on A^T + A
@@ -96,34 +96,30 @@ class HelmholtzOperator:
                 raise SolveError(f"sparse LU failed (omega={self.omega}): {exc}") from exc
         return self._lu
 
-    def solve(self, rhs_batch, adjoint: bool = False) -> list[ComplexField]:
-        """Solve A u = f (or A^H q = f) for each rhs, reusing one factorization."""
-        rhs = np.asarray(rhs_batch, dtype=np.complex128)
-        single = rhs.ndim == 1
-        if single:
-            rhs = rhs[None, :]
-        if rhs.shape[1] != self.grid.n_nodes:
-            raise GridError(
-                f"rhs length {rhs.shape[1]} != {self.grid.n_nodes} grid nodes"
-            )
-        sols = self.solve_array(rhs.T, adjoint=adjoint).T
-        return [ComplexField(self.grid, s) for s in sols]
-
     def solve_array(self, rhs_cols: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """Column-stacked variant used by the inversion hot loop."""
+        """Solve A u = f, or A^H q = f when adjoint, for every rhs column.
+
+        rhs_cols is one (n_nodes,) vector or an (n_nodes, k) column stack;
+        the solution has the same shape.  All calls share one factorization.
+        Each column must meet ||A u - f|| <= RESIDUAL_RTOL * max(1, ||f||),
+        after one round of iterative refinement if needed, or SolveError
+        is raised.
+        """
+        rhs = np.asarray(rhs_cols, dtype=np.complex128)
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != self.grid.n_nodes:
+            raise GridError(f"rhs shape {rhs.shape} does not match {self.grid.n_nodes} grid nodes")
+        cols = np.ascontiguousarray(rhs[:, None] if rhs.ndim == 1 else rhs)
         lu = self.factor()
         trans = "H" if adjoint else "N"
-        sols = lu.solve(np.ascontiguousarray(rhs_cols, dtype=np.complex128), trans=trans)
-        if sols.ndim == 1:
-            sols = sols[:, None]
+        sols = lu.solve(cols, trans=trans)
         op = self.matrix.getH() if adjoint else self.matrix
-        resid = op @ sols - rhs_cols
+        resid = op @ sols - cols
         rnorm = np.linalg.norm(resid, axis=0)
-        bound = RESIDUAL_RTOL * np.maximum(1.0, np.linalg.norm(rhs_cols, axis=0))
+        bound = RESIDUAL_RTOL * np.maximum(1.0, np.linalg.norm(cols, axis=0))
         if np.any(rnorm > bound):
             # one round of iterative refinement before giving up
-            sols = sols + lu.solve(rhs_cols - op @ sols, trans=trans)
-            resid = op @ sols - rhs_cols
+            sols = sols + lu.solve(cols - op @ sols, trans=trans)
+            resid = op @ sols - cols
             rnorm = np.linalg.norm(resid, axis=0)
             if np.any(rnorm > bound):
                 worst = int(np.argmax(rnorm / bound))
@@ -131,7 +127,7 @@ class HelmholtzOperator:
                     f"residual contract missed: ||Au-f||={rnorm[worst]:.3e} exceeds "
                     f"{bound[worst]:.3e} (likely near-resonant or ill-conditioned operator)"
                 )
-        return sols
+        return sols[:, 0] if rhs.ndim == 1 else sols
 
 
 def _boundary_kind(ix: int, iz: int, nx: int, nz: int) -> str:

@@ -236,14 +236,10 @@ def misfit(model: Model, dataset: FrequencyDataset, frequencies=None) -> float:
     return value
 
 
-def gradient_nodal(model: Model, dataset: FrequencyDataset, frequencies=None) -> ScalarField:
-    """Derivative of the misfit with respect to nodal squared slowness."""
-    return misfit_and_gradient(model, dataset, frequencies)[1]
-
-
 def misfit_and_gradient(
     model: Model, dataset: FrequencyDataset, frequencies=None
 ) -> tuple[float, ScalarField]:
+    """The misfit J and its derivative with respect to nodal squared slowness."""
     ev = MisfitEvaluator(dataset, model.grid)
     value = 0.0
     grad = np.zeros(model.grid.n_nodes)

@@ -11,7 +11,7 @@ from eigenwave.diffusion import (
     assemble_diffusion,
     eval_eta,
     gradient_norms,
-    lift_m0,
+    lift_from_operator,
 )
 from eigenwave.grid import Grid2D, ScalarField
 
@@ -242,7 +242,7 @@ class TestLift:
         g = Grid2D(nx=7, nz=6, hx=1.0, hz=1.0)
         eta = field(g, rng.random(42) + 0.1)
         m = field(g, np.full(42, 4.2))
-        m0 = lift_m0(m, eta)
+        m0 = lift_from_operator(assemble_diffusion(eta), m)
         np.testing.assert_allclose(m0.values, 4.2, rtol=1e-12)
 
     def test_discrete_harmonic_polynomial(self):
@@ -250,7 +250,7 @@ class TestLift:
         g = Grid2D(nx=9, nz=9, hx=2.0, hz=2.0)
         xg, zg = np.meshgrid(g.xs(), g.zs())
         poly = (xg**2 - zg**2).reshape(-1)
-        m0 = lift_m0(field(g, poly), field(g, np.ones(81)))
+        m0 = lift_from_operator(assemble_diffusion(field(g, np.ones(81))), field(g, poly))
         np.testing.assert_allclose(m0.values, poly, rtol=1e-10, atol=1e-8)
 
     def test_matches_dense_solve_oracle(self):
@@ -258,7 +258,7 @@ class TestLift:
         g = Grid2D(nx=15, nz=15, hx=1.0, hz=1.0)
         eta = field(g, rng.random(225) + 0.1)
         m = field(g, rng.standard_normal(225))
-        m0 = lift_m0(m, eta)
+        m0 = lift_from_operator(assemble_diffusion(eta), m)
         # fully independent dense path: loop-built matrix and boundary rhs
         A = dense_diffusion_reference(eta)
         e = eta.as_2d()
@@ -286,7 +286,7 @@ class TestLift:
         rng = np.random.default_rng(33)
         g = Grid2D(nx=6, nz=5, hx=1.0, hz=1.0)
         m = field(g, rng.standard_normal(30))
-        m0 = lift_m0(m, field(g, np.ones(30)))
+        m0 = lift_from_operator(assemble_diffusion(field(g, np.ones(30))), m)
         xg, zg = np.meshgrid(np.arange(6), np.arange(5))
         inner = (xg.ravel() > 0) & (xg.ravel() < 5) & (zg.ravel() > 0) & (zg.ravel() < 4)
         np.testing.assert_array_equal(m0.values[~inner], m.values[~inner])

@@ -12,6 +12,7 @@ from eigenwave.diffusion import DiffusionSpec, assemble_diffusion, eval_eta, gra
 from eigenwave.eigenbasis import (
     MANIFEST_KEYS,
     MANIFEST_NAME,
+    PAYLOAD_NAME,
     EigenSolveError,
     build_basis,
     load_basis,
@@ -297,6 +298,8 @@ class TestArchive:
         m = field(g, 2.0 + rng.random(72))
         basis = build_basis(m, DiffusionSpec("eta6", 3.5), 6)
         save_basis(tmp_path / "basis", basis)
+        names = {p.name for p in (tmp_path / "basis").iterdir()}
+        assert names == {"manifest.txt", "m0.ewf", "eigenvectors.f64"}
         back = load_basis(tmp_path / "basis")
         assert back.spec == basis.spec
         assert back.source_model_hash == basis.source_model_hash
@@ -373,15 +376,22 @@ class TestLoadBasisChecks:
             load_basis(edited_copy(archive, tmp_path / "b", edit))
 
     @pytest.mark.parametrize("n", [3, 5])
-    def test_n_must_match_psi_files(self, archive, tmp_path, n):
+    def test_n_must_match_payload(self, archive, tmp_path, n):
         def edit(lines):
             head = ["n = %d" % n if l.startswith("n =") else l for l in lines]
             vals = [l for l in head if l.startswith("  ")]
             rest = [l for l in head if not l.startswith("  ")]
             return rest + (vals + vals)[:n]
 
-        with pytest.raises(FieldFileError, match="psi_"):
+        with pytest.raises(FieldFileError, match="eigenvectors"):
             load_basis(edited_copy(archive, tmp_path / "b", edit))
+
+    def test_truncated_payload(self, archive, tmp_path):
+        bad = edited_copy(archive, tmp_path / "b", lambda lines: lines)
+        payload = (bad / PAYLOAD_NAME).read_bytes()
+        (bad / PAYLOAD_NAME).write_bytes(payload[:-8])
+        with pytest.raises(FieldFileError, match="eigenvectors"):
+            load_basis(bad)
 
     def test_unedited_copy_loads(self, archive, tmp_path):
         back = load_basis(edited_copy(archive, tmp_path / "b", lambda lines: lines))

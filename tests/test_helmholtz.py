@@ -181,8 +181,8 @@ class TestSolve:
     def test_zero_rhs_gives_zero(self):
         g = Grid2D(nx=9, nz=8, hx=10.0, hz=10.0)
         op = assemble(homogeneous_model(g), omega=20.0)
-        u = op.solve([np.zeros(g.n_nodes, dtype=complex)])[0]
-        assert np.all(u.values == 0.0)
+        u = op.solve_array(np.zeros(g.n_nodes, dtype=complex))
+        assert np.all(u == 0.0)
 
     def test_recovers_constructed_solution(self):
         rng = np.random.default_rng(7)
@@ -190,32 +190,43 @@ class TestSolve:
         op = assemble(homogeneous_model(g), omega=25.0)
         w = rng.standard_normal(g.n_nodes) + 1j * rng.standard_normal(g.n_nodes)
         f = op.matrix @ w
-        u = op.solve([f])[0]
-        np.testing.assert_allclose(u.values, w, rtol=1e-9, atol=1e-12)
+        u = op.solve_array(f)
+        np.testing.assert_allclose(u, w, rtol=1e-9, atol=1e-12)
 
     def test_batch_solve(self):
         rng = np.random.default_rng(8)
         g = Grid2D(nx=8, nz=7, hx=10.0, hz=10.0)
         op = assemble(homogeneous_model(g), omega=25.0)
         ws = rng.standard_normal((3, g.n_nodes)) * (1.0 + 0.5j)
-        fs = [op.matrix @ w for w in ws]
-        sols = op.solve(fs)
-        for u, w in zip(sols, ws):
-            np.testing.assert_allclose(u.values, w, rtol=1e-9, atol=1e-12)
+        fs = np.stack([op.matrix @ w for w in ws], axis=1)
+        sols = op.solve_array(fs)
+        for u, w in zip(sols.T, ws):
+            np.testing.assert_allclose(u, w, rtol=1e-9, atol=1e-12)
 
     def test_residual_contract(self):
         g = Grid2D(nx=31, nz=21, hx=10.0, hz=10.0)
         op = assemble(homogeneous_model(g), omega=2 * np.pi * 12.0)
         f = point_source_rhs(g, 150.0, 100.0, 1.0)
-        u = op.solve([f])[0]
-        resid = np.linalg.norm(op.matrix @ u.values - f)
+        u = op.solve_array(f)
+        resid = np.linalg.norm(op.matrix @ u - f)
         assert resid <= 1e-10 * max(1.0, np.linalg.norm(f))
 
     def test_rhs_length_mismatch(self):
         g = Grid2D(nx=5, nz=4, hx=10.0, hz=10.0)
         op = assemble(homogeneous_model(g), omega=10.0)
-        with pytest.raises(GridError):
-            op.solve([np.zeros(7, dtype=complex)])
+        for rhs in (np.zeros(7, dtype=complex), np.zeros((7, 2), dtype=complex)):
+            with pytest.raises(GridError):
+                op.solve_array(rhs)
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_vector_rhs_keeps_its_shape(self, adjoint):
+        rng = np.random.default_rng(10)
+        g = Grid2D(nx=8, nz=7, hx=10.0, hz=10.0)
+        op = assemble(homogeneous_model(g), omega=25.0)
+        f = rng.standard_normal(g.n_nodes) + 1j * rng.standard_normal(g.n_nodes)
+        u = op.solve_array(f, adjoint=adjoint)
+        assert u.shape == (g.n_nodes,)
+        np.testing.assert_array_equal(u, op.solve_array(f[:, None], adjoint=adjoint)[:, 0])
 
     def test_adjoint_solve_uses_conjugate_transpose(self):
         rng = np.random.default_rng(9)
@@ -234,10 +245,10 @@ class TestPhysics:
         op = assemble(model, omega=2 * np.pi * 10.0)
         p_a = (150.0, 200.0)
         p_b = (420.0, 350.0)
-        u_ab = op.solve([point_source_rhs(g, *p_a, 1.0)])[0]
-        u_ba = op.solve([point_source_rhs(g, *p_b, 1.0)])[0]
-        v_at_b = u_ab.values[g.flatten(42, 35)]
-        v_at_a = u_ba.values[g.flatten(15, 20)]
+        u_ab = op.solve_array(point_source_rhs(g, *p_a, 1.0))
+        u_ba = op.solve_array(point_source_rhs(g, *p_b, 1.0))
+        v_at_b = u_ab[g.flatten(42, 35)]
+        v_at_a = u_ba[g.flatten(15, 20)]
         assert abs(v_at_b - v_at_a) / abs(v_at_b) < 0.01
 
     def test_manufactured_solution_convergence(self):
@@ -254,8 +265,8 @@ class TestPhysics:
             f = ((2.0 * np.pi**2 / L**2 - omega**2 * m_val) * u_star).reshape(-1)
             rhs = f.astype(complex)
             rhs[op.dirichlet_mask] = 0.0
-            u = op.solve([rhs])[0]
-            return float(np.max(np.abs(u.values.real - u_star.reshape(-1))))
+            u = op.solve_array(rhs)
+            return float(np.max(np.abs(u.real - u_star.reshape(-1))))
 
         errs = [max_err(n) for n in (17, 33, 65)]
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -270,12 +281,12 @@ class TestPhysics:
             g = Grid2D(nx=nx, nz=nx, hx=L / (nx - 1), hz=L / (nx - 1))
             model = homogeneous_model(g)
             op = assemble(model, 2 * np.pi * 15.0)
-            u = op.solve([point_source_rhs(g, L / 2, L / 2, 1.0)])[0]
+            u = op.solve_array(point_source_rhs(g, L / 2, L / 2, 1.0))
             xs = np.linspace(L / 2 + 80.0, L / 2 + 320.0, 13)
             acq = Acquisition(
                 sources=((L / 2, L / 2, 1.0),), receivers=tuple((x, L / 2) for x in xs)
             )
-            return np.unwrap(np.angle(receiver_matrix(g, acq) @ u.values))
+            return np.unwrap(np.angle(receiver_matrix(g, acq) @ u))
 
         p81, p161, p321 = phase_line(81), phase_line(161), phase_line(321)
         d81 = np.max(np.abs(p81 - p321))

@@ -13,7 +13,6 @@ from eigenwave.inversion import (
     MisfitEvaluator,
     NLCGState,
     gradient_alpha,
-    gradient_nodal,
     misfit,
     misfit_and_gradient,
     nlcg_step,
@@ -80,7 +79,7 @@ class TestMisfit:
 class TestGradient:
     def test_self_data_gradient_vanishes(self):
         g, m_true, acq, ds = small_setup()
-        grad = gradient_nodal(m_true, ds)
+        grad = misfit_and_gradient(m_true, ds)[1]
         scale = float(np.sum(np.abs(ds.data) ** 2))
         assert np.linalg.norm(grad.values) <= 1e-6 * scale
 
@@ -107,7 +106,7 @@ class TestGradient:
         model = speed_to_slowness(
             ScalarField(g, 1500.0 + 300.0 * rng.random(g.n_nodes)), 500.0, 9000.0
         )
-        grad_both = gradient_nodal(model, ds).values
+        grad_both = misfit_and_gradient(model, ds)[1].values
         from eigenwave.dataset import FrequencyDataset
 
         parts = np.zeros(g.n_nodes)
@@ -116,7 +115,7 @@ class TestGradient:
             ds_s = FrequencyDataset(
                 acquisition=acq_s, frequencies=ds.frequencies, data=ds.data[:, s : s + 1, :]
             )
-            parts += gradient_nodal(model, ds_s).values
+            parts += misfit_and_gradient(model, ds_s)[1].values
         np.testing.assert_allclose(grad_both, parts, rtol=1e-10, atol=1e-18)
 
 
@@ -134,7 +133,7 @@ class TestMisfitEvaluator:
         assert ev.n_factor == 1
         # a gradient releases the entry: the next evaluation factors again
         assert ev.value(model, 0) == value and ev.n_factor == 2
-        np.testing.assert_array_equal(grad, gradient_nodal(model, ds).values)
+        np.testing.assert_array_equal(grad, misfit_and_gradient(model, ds)[1].values)
         nudged = Model(ScalarField(g, model.m * (1.0 + 1e-15)), 500.0, 9000.0)
         ev.value(nudged, 0)
         assert ev.n_factor == 3
@@ -527,7 +526,7 @@ class TestRunInversion:
         for x, grad in seen:
             m = x if nodal else basis.m0.values + basis.eigenvectors @ x
             model, _ = clamp_model(ScalarField(g, m), m_start.c_min, m_start.c_max)
-            fresh = gradient_nodal(model, ds, [6.0])
+            fresh = misfit_and_gradient(model, ds, [6.0])[1]
             fresh = fresh.values if nodal else gradient_alpha(fresh, basis, 6)
             assert np.linalg.norm(grad - fresh) <= 1e-12 * np.linalg.norm(fresh)
 
@@ -547,7 +546,7 @@ class TestChainRuleConsistency:
             return misfit(Model(ScalarField(g, m), 500.0, 9000.0), ds)
 
         model0 = Model(ScalarField(g, basis.m0.values + basis.eigenvectors @ alpha0), 500.0, 9000.0)
-        g_alpha = gradient_alpha(gradient_nodal(model0, ds), basis, 6)
+        g_alpha = gradient_alpha(misfit_and_gradient(model0, ds)[1], basis, 6)
         rng = np.random.default_rng(30)
         eps = 1e-6 * max(np.linalg.norm(alpha0), np.linalg.norm(model0.m))
         for _ in range(5):
@@ -566,7 +565,7 @@ class TestChainRuleConsistency:
         dec = project(m_field, basis, n_full)
         model = Model(reconstruct(dec), 100.0, 99000.0)
 
-        g_nodal = gradient_nodal(model, ds).values
+        g_nodal = misfit_and_gradient(model, ds)[1].values
         g_a = gradient_alpha(ScalarField(g, g_nodal), basis, n_full)
         mu = 1e-3 / max(np.linalg.norm(g_nodal), 1.0)
 
