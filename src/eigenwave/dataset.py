@@ -56,13 +56,17 @@ _FREQUENCY_LINE = re.compile(r"frequency\s*=\s*(\S+)\s+file\s*=\s*(\S+)")
 
 
 def save_dataset(directory: str | os.PathLike, ds: FrequencyDataset) -> Path:
+    """Write acquisition.txt, one traces_*.dat per frequency, then the manifest.
+
+    Each file goes to a temporary sibling that then replaces it.
+    """
     out = fileio.ensure_dir(directory)
     acq = ds.acquisition
     lines = [f"sources = {acq.n_sources}"]
     lines += [f"  {x!r} {z!r} {a.real!r} {a.imag!r}" for x, z, a in acq.sources]
     lines.append(f"receivers = {acq.n_receivers}")
     lines += [f"  {x!r} {z!r}" for x, z in acq.receivers]
-    (out / ACQ_NAME).write_text("\n".join(lines) + "\n", encoding="ascii")
+    fileio.write_atomic(out / ACQ_NAME, ("\n".join(lines) + "\n").encode("ascii"))
 
     man = [
         f"n_frequencies = {ds.n_frequencies}",
@@ -73,8 +77,8 @@ def save_dataset(directory: str | os.PathLike, ds: FrequencyDataset) -> Path:
     for i, f in enumerate(ds.frequencies):
         name = f"traces_{i + 1:04d}.dat"
         man.append(f"frequency = {f!r} file = {name}")
-        (out / name).write_bytes(ds.data[i].astype("<c16").tobytes())
-    (out / MANIFEST_NAME).write_text("\n".join(man) + "\n", encoding="ascii")
+        fileio.write_atomic(out / name, ds.data[i].astype("<c16").tobytes())
+    fileio.write_atomic(out / MANIFEST_NAME, ("\n".join(man) + "\n").encode("ascii"))
     return out
 
 

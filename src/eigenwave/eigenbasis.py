@@ -58,9 +58,11 @@ def smallest_eigenpairs(
     """N smallest eigenpairs of a sparse SPD matrix by shift-invert ARPACK.
 
     Returns eigenvalues ascending and an orthonormal (dim, n) eigenvector
-    block, each pair satisfying ||A v - lam v|| <= rtol * lam.  Each
-    vector's sign makes positive the first entry whose magnitude is within
-    SIGN_TIE_RTOL of its largest: on a mirror-symmetric model the two
+    block, each pair satisfying ||A v - lam v|| <= rtol * ||A||_1.  That
+    is a backward error, attainable however ill-conditioned A is; a bound
+    relative to lam sits at the rounding floor once cond(A) nears 1/rtol.
+    Each vector's sign makes positive the first entry whose magnitude is
+    within SIGN_TIE_RTOL of its largest: on a mirror-symmetric model the two
     largest entries of an antisymmetric vector tie, and picking the single
     largest would leave the sign to rounding.  The start vector is drawn
     from `seed`, so the result is reproducible.  `lu` is an existing
@@ -97,13 +99,14 @@ def smallest_eigenpairs(
         mag = np.abs(vecs[:, j])
         if vecs[np.argmax(mag >= (1.0 - SIGN_TIE_RTOL) * mag.max()), j] < 0.0:
             vecs[:, j] *= -1.0
+    a_norm = spla.norm(A, 1)
     resid = np.array([np.linalg.norm(A @ vecs[:, j] - vals[j] * vecs[:, j]) for j in range(n)])
-    bad = np.flatnonzero(~(resid <= rtol * vals))
+    bad = np.flatnonzero(~(resid <= rtol * a_norm))
     if bad.size:
         j = bad[0]
         raise EigenSolveError(
             f"{bad.size}/{n} pairs break the residual contract: pair {j} "
-            f"(lambda {vals[j]:.6e}) has relative residual {resid[j] / vals[j]:.3e} > {rtol:.1e}"
+            f"(lambda {vals[j]:.6e}) has residual {resid[j] / a_norm:.3e} * ||A||_1 > {rtol:.1e}"
         )
     gram = np.max(np.abs(vecs.T @ vecs - np.eye(n)))
     if gram > ORTHO_TOL:
@@ -217,10 +220,13 @@ MANIFEST_KEYS = ("kind", "beta", "n", "grid", "source_model_hash")
 
 
 def save_basis(directory: str | os.PathLike, basis: EigenBasis) -> Path:
-    """Write manifest.txt, the lift m0.ewf and the eigenvectors.f64 payload.
+    """Write the eigenvectors.f64 payload, the lift m0.ewf and manifest.txt.
 
     The payload is the raw little-endian float64 (n_nodes, n) eigenvector
     block in C order, with no header: the manifest carries its grid and n.
+    Each file goes to a temporary sibling that then replaces it, in that
+    order, so a write that fails leaves every file whole, and one that
+    fails before the manifest leaves the old manifest in charge.
     """
     out = fileio.ensure_dir(directory)
     g = basis.grid
@@ -233,9 +239,9 @@ def save_basis(directory: str | os.PathLike, basis: EigenBasis) -> Path:
         "eigenvalues =",
     ]
     lines += [f"  {float(v)!r}" for v in basis.eigenvalues]
-    (out / MANIFEST_NAME).write_text("\n".join(lines) + "\n", encoding="ascii")
+    fileio.write_atomic(out / PAYLOAD_NAME, np.ascontiguousarray(basis.eigenvectors, dtype="<f8"))
     fileio.write_field(out / "m0.ewf", basis.m0)
-    basis.eigenvectors.astype("<f8", copy=False).tofile(out / PAYLOAD_NAME)
+    fileio.write_atomic(out / MANIFEST_NAME, ("\n".join(lines) + "\n").encode("ascii"))
     return out
 
 

@@ -8,7 +8,10 @@ write -> read reproduces every value bit for bit.
 from __future__ import annotations
 
 import os
+import threading
+from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -21,10 +24,36 @@ class FieldFileError(ValueError):
     """Malformed field file header or payload."""
 
 
+@contextmanager
+def atomic_open(path: str | os.PathLike) -> Iterator[BinaryIO]:
+    """Binary file handle on a temporary sibling that replaces `path` on success.
+
+    Readers see the old file or the complete new one, never a partial
+    write; if the block raises, the temporary file is removed and `path`
+    is left as it was.
+    """
+    path = Path(path)
+    # unique per writing thread, so concurrent writers never share one
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_atomic(path: str | os.PathLike, data) -> None:
+    """Write a bytes-like object to `path` through atomic_open."""
+    with atomic_open(path) as fh:
+        fh.write(data)
+
+
 def write_field(path: str | os.PathLike, field: ScalarField) -> None:
     g = field.grid
     header = f"{MAGIC} {g.nx} {g.nz} {g.hx!r} {g.hz!r} {g.x0!r} {g.z0!r}\n"
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(header.encode("ascii"))
         fh.write(field.values.astype("<f8").tobytes())
 

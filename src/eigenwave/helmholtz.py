@@ -18,10 +18,29 @@ Helmholtz operator L+U holds 506,087 nonzeros against 870,181 with COLAMD,
 and a factorization runs about 1.3x faster on one core.  At 321x161 the
 fill drops from 4.81M to 2.71M; there the cheaper factorization is partly
 offset by slower 64-RHS triangular solves.
+
+solve_array cuts its right-hand sides into slabs of SLAB_COLUMNS columns
+and runs them in lanes: the calling thread is lane 0, and a module-level
+thread pool, created on first use with one worker per CPU in the
+process's affinity mask beyond the first, runs the others.  SuperLU's
+solve releases the GIL, so the lanes run in parallel, and narrow slabs
+cost no more per column than one wide solve: at 321x161 on one core,
+eight 8-column slabs took 0.50-0.90 s against 0.83-0.99 s for one
+64-column call, and they hold less scratch memory.  Each slab gets the
+full residual check and refinement, and the solutions land in one
+Fortran-order array, the layout SuperLU returns.  The slabs depend on
+the column count alone and each is one SuperLU call, so the lane count,
+and with it the core count, does not change a single bit of the result.
+With one BLAS thread a column even comes out with the same bits alone,
+in a slab or in one wide call; a threaded BLAS may round the wide
+supernode updates differently.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +52,8 @@ from .grid import Grid2D, GridError, Model
 RESIDUAL_RTOL = 1e-10
 # column ordering for every sparse LU: minimum degree on A^T + A
 PERMC_SPEC = "MMD_AT_PLUS_A"
+# right-hand-side columns per SuperLU solve call; see solve_array
+SLAB_COLUMNS = 8
 
 
 class SolveError(RuntimeError):
@@ -100,46 +121,96 @@ class HelmholtzOperator:
         """Solve A u = f, or A^H q = f when adjoint, for every rhs column.
 
         rhs_cols is one (n_nodes,) vector or an (n_nodes, k) column stack;
-        the solution has the same shape.  All calls share one factorization.
-        Each column must meet ||A u - f|| <= RESIDUAL_RTOL * max(1, ||f||),
-        after one round of iterative refinement if needed, or SolveError
-        is raised.
+        the solution has the same shape, and a stack comes back in Fortran
+        order.  All calls share one factorization.  The columns are solved
+        in slabs of SLAB_COLUMNS on up to one lane per CPU (see the module
+        docstring); slab i runs on lane i mod n_lanes.  Each column must
+        meet ||A u - f|| <= RESIDUAL_RTOL * max(1, ||f||), after one round
+        of iterative refinement of its slab if needed, or SolveError is
+        raised, also when the slab ran on a worker lane.
         """
         rhs = np.asarray(rhs_cols, dtype=np.complex128)
         if rhs.ndim not in (1, 2) or rhs.shape[0] != self.grid.n_nodes:
             raise GridError(f"rhs shape {rhs.shape} does not match {self.grid.n_nodes} grid nodes")
-        cols = np.ascontiguousarray(rhs[:, None] if rhs.ndim == 1 else rhs)
+        block = rhs[:, None] if rhs.ndim == 1 else rhs
         lu = self.factor()
         trans = "H" if adjoint else "N"
-        sols = lu.solve(cols, trans=trans)
         op = self.matrix.getH() if adjoint else self.matrix
-        resid = op @ sols - cols
-        rnorm = np.linalg.norm(resid, axis=0)
-        bound = RESIDUAL_RTOL * np.maximum(1.0, np.linalg.norm(cols, axis=0))
-        if np.any(rnorm > bound):
-            # one round of iterative refinement before giving up
-            sols = sols + lu.solve(cols - op @ sols, trans=trans)
-            resid = op @ sols - cols
-            rnorm = np.linalg.norm(resid, axis=0)
-            if np.any(rnorm > bound):
-                worst = int(np.argmax(rnorm / bound))
-                raise SolveError(
-                    f"residual contract missed: ||Au-f||={rnorm[worst]:.3e} exceeds "
-                    f"{bound[worst]:.3e} (likely near-resonant or ill-conditioned operator)"
-                )
+        sols = np.empty(block.shape, dtype=np.complex128, order="F")
+        starts = range(0, block.shape[1], SLAB_COLUMNS)
+        n_lanes = max(1, min(_lane_count(), len(starts)))
+
+        def run_lane(lane: int) -> None:
+            for s in starts[lane::n_lanes]:
+                cols = slice(s, s + SLAB_COLUMNS)
+                sols[:, cols] = _solve_slab(lu, op, block[:, cols], trans)
+
+        workers = [_worker_pool().submit(run_lane, lane) for lane in range(1, n_lanes)]
+        try:
+            run_lane(0)
+        finally:
+            futures.wait(workers)
+        for w in workers:
+            w.result()  # re-raises a worker lane's SolveError here
         return sols[:, 0] if rhs.ndim == 1 else sols
 
 
-def _boundary_kind(ix: int, iz: int, nx: int, nz: int) -> str:
-    if iz == 0:
-        return "dirichlet"
-    if ix == 0:
-        return "left"
-    if ix == nx - 1:
-        return "right"
-    if iz == nz - 1:
-        return "bottom"
-    return "interior"
+def _solve_slab(lu: spla.SuperLU, op: sp.spmatrix, slab: np.ndarray, trans: str) -> np.ndarray:
+    """Solve one slab of columns under the residual contract of solve_array."""
+    x = lu.solve(slab, trans=trans)
+    r = op @ x
+    r -= slab
+    bound = RESIDUAL_RTOL * np.maximum(1.0, np.linalg.norm(slab, axis=0))
+    rnorm = np.linalg.norm(r, axis=0)
+    if np.any(rnorm > bound):
+        # one round of iterative refinement before giving up
+        x -= lu.solve(r, trans=trans)
+        r = op @ x
+        r -= slab
+        rnorm = np.linalg.norm(r, axis=0)
+        if np.any(rnorm > bound):
+            worst = int(np.argmax(rnorm / bound))
+            raise SolveError(
+                f"residual contract missed: ||Au-f||={rnorm[worst]:.3e} exceeds "
+                f"{bound[worst]:.3e} (likely near-resonant or ill-conditioned operator)"
+            )
+    return x
+
+
+def _lane_count() -> int:
+    """CPUs this process may run on: the calling thread plus one per pool worker."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool: futures.ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _worker_pool() -> futures.ThreadPoolExecutor:
+    """The module's slab workers, created on first use and reused after.
+
+    Reusing the threads keeps glibc from growing a fresh per-thread heap
+    on every solve.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = futures.ThreadPoolExecutor(
+                max_workers=max(1, _lane_count() - 1), thread_name_prefix="helmholtz-slab"
+            )
+    return _pool
+
+
+def _forget_pool() -> None:
+    """A forked child inherits the pool object but not its threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def assemble(model: Model, omega: float, all_dirichlet: bool = False) -> HelmholtzOperator:

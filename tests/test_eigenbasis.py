@@ -1,6 +1,8 @@
 import shutil
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from eigenwave.eigenbasis import (
     save_basis,
     smallest_eigenpairs,
 )
+from eigenwave import fileio
 from eigenwave.fileio import FieldFileError
 from eigenwave.grid import Grid2D, GridError, ScalarField, relative_error
 from eigenwave.synthetics import Dome, SaltModelSpec, make_salt_model
@@ -147,6 +150,19 @@ class TestSmallestEigenpairs:
             return
         dense = np.linalg.eigvalsh(op.matrix.toarray())[:30]
         np.testing.assert_allclose(vals, dense, rtol=1e-5)
+
+    def test_backward_error_accepts_cond_2e8(self):
+        # eta3 beta=1e-4 (cond 2.2e8): ||Av - lam v|| reaches ~1.4e-8 lam at
+        # rounding level, so a lam-relative bound of 1e-8 failed this basis
+        g = Grid2D(nx=40, nz=20, hx=50.0, hz=50.0)
+        salt = SaltModelSpec(1500.0, 2000.0, (Dome(1000.0, 500.0, 300.0, 200.0, 4000.0),), 800.0, 5000.0)
+        m = make_salt_model(salt, g).field
+        spec = DiffusionSpec("eta3", 1e-4)
+        basis = build_basis(m, spec, 30)
+        op = assemble_diffusion(eval_eta(spec, gradient_norms(m)))
+        dense = np.linalg.eigvalsh(op.matrix.toarray())
+        assert dense[-1] / dense[0] > 1e8
+        np.testing.assert_allclose(basis.eigenvalues, dense[:30], rtol=1e-7)
 
     def test_n_out_of_range(self):
         g = Grid2D(nx=5, nz=5, hx=1.0, hz=1.0)
@@ -307,6 +323,39 @@ class TestArchive:
         np.testing.assert_array_equal(back.eigenvalues, basis.eigenvalues)
         np.testing.assert_array_equal(back.eigenvectors, basis.eigenvectors)
         np.testing.assert_array_equal(back.m0.values, basis.m0.values)
+
+    def test_failed_payload_write_keeps_old_archive(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(13)
+        g = Grid2D(nx=9, nz=8, hx=12.5, hz=7.5)
+        old = build_basis(field(g, 2.0 + rng.random(72)), DiffusionSpec("eta6", 3.5), 5)
+        new = build_basis(field(g, 2.0 + rng.random(72)), DiffusionSpec("eta6", 3.5), 6)
+        root = tmp_path / "basis"
+        save_basis(root, old)
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        atomic_open = fileio.atomic_open
+
+        @contextmanager
+        def payload_fails_halfway(path):
+            with atomic_open(path) as fh:
+                if Path(path).name != PAYLOAD_NAME:
+                    yield fh
+                    return
+
+                def write(data):
+                    raw = memoryview(data).cast("B")
+                    fh.write(raw[: raw.nbytes // 2])
+                    raise OSError("disk full")
+
+                yield SimpleNamespace(write=write)
+
+        monkeypatch.setattr(fileio, "atomic_open", payload_fails_halfway)
+        with pytest.raises(OSError, match="disk full"):
+            save_basis(root, new)
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+        back = load_basis(root)
+        np.testing.assert_array_equal(back.eigenvalues, old.eigenvalues)
+        assert back.eigenvectors.tobytes() == old.eigenvectors.tobytes()
+        assert back.m0.values.tobytes() == old.m0.values.tobytes()
 
     def test_manifest_lists_eigenvalues(self, tmp_path):
         g = Grid2D(nx=6, nz=6, hx=1.0, hz=1.0)

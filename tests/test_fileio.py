@@ -1,8 +1,11 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigenwave import fileio
 from eigenwave.fileio import (
     FieldFileError,
     read_field,
@@ -96,3 +99,34 @@ def test_pgm_constant_field(tmp_path):
     write_pgm(tmp_path / "c.pgm", ScalarField(g, np.full(9, 7.0)))
     data = (tmp_path / "c.pgm").read_bytes().split(b"255\n", 1)[1]
     assert set(data) == {0}
+
+
+def test_failed_write_leaves_old_file(tmp_path, monkeypatch):
+    g = Grid2D(nx=4, nz=3, hx=1.0, hz=1.0)
+    path = tmp_path / "f.ewf"
+    write_field(path, ScalarField(g, np.arange(12.0)))
+    before = path.read_bytes()
+    writes = []
+
+    class FailsOnPayload:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            writes.append(len(data))
+            if len(writes) == 2:
+                raise OSError("disk full")
+            self.fh.write(data)
+
+    atomic_open = fileio.atomic_open
+
+    @contextmanager
+    def failing_open(p):
+        with atomic_open(p) as fh:
+            yield FailsOnPayload(fh)
+
+    monkeypatch.setattr(fileio, "atomic_open", failing_open)
+    with pytest.raises(OSError, match="disk full"):
+        write_field(path, ScalarField(g, -np.arange(12.0)))
+    assert [p.name for p in tmp_path.iterdir()] == ["f.ewf"]
+    assert path.read_bytes() == before

@@ -1,6 +1,15 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import eigenwave
+from eigenwave import helmholtz
 from eigenwave.grid import Grid2D, GridError, Model, ScalarField, speed_to_slowness
 from eigenwave.helmholtz import (
     Acquisition,
@@ -236,6 +245,106 @@ class TestSolve:
         q = op.solve_array(b[:, None], adjoint=True)[:, 0]
         resid = np.linalg.norm(op.matrix.getH() @ q - b)
         assert resid <= 1e-10 * max(1.0, np.linalg.norm(b))
+
+    @pytest.mark.parametrize("lanes", [None, 1, 3])  # None: one lane per CPU
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 17])
+    def test_slabs_match_column_by_column(self, monkeypatch, k, adjoint, lanes):
+        if lanes is not None:
+            monkeypatch.setattr(helmholtz, "_lane_count", lambda: lanes)
+        rng = np.random.default_rng(k)
+        g = Grid2D(nx=12, nz=9, hx=10.0, hz=10.0)
+        op = assemble(homogeneous_model(g), omega=25.0)
+        f = rng.standard_normal((g.n_nodes, k)) + 1j * rng.standard_normal((g.n_nodes, k))
+        u = op.solve_array(f, adjoint=adjoint)
+        assert u.shape == (g.n_nodes, k)
+        assert u.flags.f_contiguous
+        trans = "H" if adjoint else "N"
+        alone = np.stack([op.factor().solve(f[:, [j]], trans=trans)[:, 0] for j in range(k)], axis=1)
+        assert u.tobytes() == alone.tobytes()
+
+    def test_worker_lane_residual_miss_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(helmholtz, "_lane_count", lambda: 2)
+        rng = np.random.default_rng(12)
+        g = Grid2D(nx=12, nz=9, hx=10.0, hz=10.0)
+        op = assemble(homogeneous_model(g), omega=25.0)
+        lu = op.factor()
+        caller = threading.get_ident()
+        corrupted_in = set()
+
+        class WorkerCorruptsSolve:
+            def solve(self, b, trans="N"):
+                x = lu.solve(b, trans=trans)
+                if threading.get_ident() != caller:
+                    corrupted_in.add(threading.get_ident())
+                    x += 1.0
+                return x
+
+        op._lu = WorkerCorruptsSolve()
+        f = rng.standard_normal((g.n_nodes, 2 * helmholtz.SLAB_COLUMNS)) + 0j
+        with pytest.raises(SolveError, match="residual contract"):
+            op.solve_array(f)  # slab 0 on the caller, slab 1 on a worker
+        assert corrupted_in
+        # one slab runs on the caller alone and meets the contract
+        op.solve_array(f[:, : helmholtz.SLAB_COLUMNS])
+
+    def test_concurrent_callers_share_the_workers(self, monkeypatch):
+        # more lanes and callers than cores, switching threads every microsecond
+        monkeypatch.setattr(helmholtz, "_lane_count", lambda: 4)
+        rng = np.random.default_rng(15)
+        g = Grid2D(nx=12, nz=9, hx=10.0, hz=10.0)
+        op = assemble(homogeneous_model(g), omega=25.0)
+        f = rng.standard_normal((g.n_nodes, 49)) + 1j * rng.standard_normal((g.n_nodes, 49))
+        expected = op.solve_array(f).tobytes()
+        results = []
+
+        def caller():
+            for _ in range(5):
+                results.append(op.solve_array(f).tobytes() == expected)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert results == [True] * 20
+
+
+def test_import_starts_no_thread():
+    src = str(Path(eigenwave.__file__).resolve().parents[1])
+    code = (
+        "import threading, eigenwave\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+        "assert eigenwave.helmholtz._pool is None\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_forked_child_solves_with_its_own_workers(monkeypatch):
+    monkeypatch.setattr(helmholtz, "_lane_count", lambda: 2)
+    rng = np.random.default_rng(14)
+    g = Grid2D(nx=12, nz=9, hx=10.0, hz=10.0)
+    op = assemble(homogeneous_model(g), omega=25.0)
+    f = rng.standard_normal((g.n_nodes, 2 * helmholtz.SLAB_COLUMNS)) + 0j
+    expected = op.solve_array(f).tobytes()  # the parent's pool now exists
+
+    def child():
+        sys.exit(0 if op.solve_array(f).tobytes() == expected else 1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=30)
+    if proc.is_alive():
+        proc.kill()
+        pytest.fail("solve in a forked child waited on the parent's worker threads")
+    assert proc.exitcode == 0
 
 
 class TestPhysics:
