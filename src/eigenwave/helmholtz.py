@@ -22,24 +22,39 @@ offset by slower 64-RHS triangular solves.
 solve_array cuts its right-hand sides into slabs of SLAB_COLUMNS columns
 and runs them in lanes: the calling thread is lane 0, and a module-level
 thread pool, created on first use with one worker per CPU in the
-process's affinity mask beyond the first, runs the others.  SuperLU's
-solve releases the GIL, so the lanes run in parallel, and narrow slabs
-cost no more per column than one wide solve: at 321x161 on one core,
-eight 8-column slabs took 0.50-0.90 s against 0.83-0.99 s for one
-64-column call, and they hold less scratch memory.  Each slab gets the
-full residual check and refinement, and the solutions land in one
-Fortran-order array, the layout SuperLU returns.  The slabs depend on
-the column count alone and each is one SuperLU call, so the lane count,
-and with it the core count, does not change a single bit of the result.
-With one BLAS thread a column even comes out with the same bits alone,
-in a slab or in one wide call; a threaded BLAS may round the wide
-supernode updates differently.
+process's affinity mask beyond the first, runs the others.  The lanes
+pull slabs from one shared queue, so a lane that starts late, or
+never starts because every pool worker is busy with another caller,
+leaves its slabs to the lanes that run.  SuperLU's solve releases the
+GIL, so the lanes run in parallel, and narrow slabs cost no more per
+column than one wide solve: at 321x161 on one core, eight 8-column slabs
+took 0.50-0.90 s against 0.83-0.99 s for one 64-column call, and they
+hold less scratch memory.  Each slab gets the full residual check and
+refinement, and the solutions land in one Fortran-order array, the
+layout SuperLU returns.  Which lane solves a slab does not change its
+bits: a slab is one SuperLU call on the same columns whatever the lane
+and core count.  With one BLAS thread a column even comes out with the
+same bits alone, in a slab or in one wide call; a threaded BLAS may
+round the wide supernode updates differently.
+
+The lane runner lets the calling thread run one task of its own before
+it joins the lanes; synthetics.generate_data uses that to assemble and
+factor the next frequency while the worker lanes solve this one.  Every
+SuperLU factorization is made and dropped on the thread that asked for
+it, never on a pool worker, and the runner drops its reference to the
+slab task on the calling thread before it returns, so a worker never
+holds the last reference to an LU.  With scipy 1.17.1 an LU made on a
+worker thread and dropped on the main thread leaked about 48 MB per
+factorization at 321x161 (RSS 141 -> 414 MB over 6 cycles, none of it
+returned by malloc_trim); made and dropped on one thread, RSS stayed
+flat at 81 MB.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Callable
 from concurrent import futures
 from dataclasses import dataclass, field
 
@@ -120,11 +135,14 @@ class HelmholtzOperator:
     def solve_array(self, rhs_cols: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Solve A u = f, or A^H q = f when adjoint, for every rhs column.
 
-        rhs_cols is one (n_nodes,) vector or an (n_nodes, k) column stack;
-        the solution has the same shape, and a stack comes back in Fortran
-        order.  All calls share one factorization.  The columns are solved
-        in slabs of SLAB_COLUMNS on up to one lane per CPU (see the module
-        docstring); slab i runs on lane i mod n_lanes.  Each column must
+        rhs_cols is one dense (n_nodes,) vector or an (n_nodes, k) column
+        stack; the solution has the same shape, and a stack comes back in
+        Fortran order.  All calls share one factorization, made on the
+        calling thread; no lane keeps a reference to it once the call
+        returns, so it is dropped where it was made.  The columns are solved in slabs of SLAB_COLUMNS
+        on up to one lane per CPU, each lane taking the next unsolved
+        slab from a queue the lanes share (see the module docstring), so
+        the lane count changes no bit of the result.  Each column must
         meet ||A u - f|| <= RESIDUAL_RTOL * max(1, ||f||), after one round
         of iterative refinement of its slab if needed, or SolveError is
         raised, also when the slab ran on a worker lane.
@@ -137,21 +155,11 @@ class HelmholtzOperator:
         trans = "H" if adjoint else "N"
         op = self.matrix.getH() if adjoint else self.matrix
         sols = np.empty(block.shape, dtype=np.complex128, order="F")
-        starts = range(0, block.shape[1], SLAB_COLUMNS)
-        n_lanes = max(1, min(_lane_count(), len(starts)))
 
-        def run_lane(lane: int) -> None:
-            for s in starts[lane::n_lanes]:
-                cols = slice(s, s + SLAB_COLUMNS)
-                sols[:, cols] = _solve_slab(lu, op, block[:, cols], trans)
+        def solve(cols: slice) -> None:
+            sols[:, cols] = _solve_slab(lu, op, block[:, cols], trans)
 
-        workers = [_worker_pool().submit(run_lane, lane) for lane in range(1, n_lanes)]
-        try:
-            run_lane(0)
-        finally:
-            futures.wait(workers)
-        for w in workers:
-            w.result()  # re-raises a worker lane's SolveError here
+        _run_lanes(block.shape[1], solve)
         return sols[:, 0] if rhs.ndim == 1 else sols
 
 
@@ -182,6 +190,66 @@ def _lane_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+class _SlabQueue:
+    """The slabs of one lane-runner call, shared by its lanes."""
+
+    def __init__(self, n_columns: int, solve: Callable[[slice], None]):
+        self._lock = threading.Lock()
+        self.slabs = [slice(s, s + SLAB_COLUMNS) for s in range(0, n_columns, SLAB_COLUMNS)]
+        self._left = iter(self.slabs)
+        self._solve: Callable[[slice], None] | None = solve
+
+    def drain(self) -> None:
+        """Solve slabs until none is left; a failure stops every lane."""
+        while True:
+            with self._lock:
+                slab, solve = next(self._left, None), self._solve
+            if slab is None:
+                return
+            try:
+                solve(slab)
+            except BaseException:
+                self.close()
+                raise
+
+    def close(self) -> None:
+        """Hand out no more slabs and drop the task with what it holds."""
+        with self._lock:
+            self._left, self._solve = iter(()), None
+
+
+def _run_lanes(
+    n_columns: int, solve: Callable[[slice], None], own_task: Callable[[], None] | None = None
+) -> None:
+    """Call solve(cols) for each slab of n_columns columns, on the lanes.
+
+    cols is the slice of one slab, SLAB_COLUMNS wide (the last may be
+    narrower).  Worker lanes start at once and pull slabs from one shared
+    queue.  The calling thread first runs own_task, when given, and then
+    pulls slabs as well, so with one CPU, or with every worker busy,
+    it solves them all itself.  The call returns, or raises the first
+    error of the calling thread or else of a worker lane, only after
+    every lane has stopped; a failing lane stops the others from taking
+    more slabs.  Before it returns it drops its reference to solve on
+    the calling thread, so whatever solve holds (an LU) is freed there.
+    """
+    work = _SlabQueue(n_columns, solve)
+    n_slabs = len(work.slabs)
+    n_workers = min(_lane_count() - 1, n_slabs if own_task is not None else n_slabs - 1)
+    workers = [_worker_pool().submit(work.drain) for _ in range(max(0, n_workers))]
+    try:
+        if own_task is not None:
+            own_task()
+        work.drain()
+    finally:
+        work.close()
+        # a lane still queued behind other work has nothing left to take
+        started = [w for w in workers if not w.cancel()]
+        futures.wait(started)
+    for w in started:
+        w.result()  # re-raises a worker lane's error here
 
 
 _pool: futures.ThreadPoolExecutor | None = None
@@ -311,13 +379,17 @@ def point_source_rhs(grid: Grid2D, x: float, z: float, amplitude: complex = 1.0)
     return rhs
 
 
-def source_batch(grid: Grid2D, acq: Acquisition) -> np.ndarray:
-    """Column-stacked point-source loads, one column per source."""
+def source_batch(grid: Grid2D, acq: Acquisition) -> sp.csc_matrix:
+    """Point-source loads as a sparse (n_nodes, n_sources) block, one column
+    per source, each the point_source_rhs of that source."""
     acq.validate_in(grid)
-    rhs = np.zeros((grid.n_nodes, acq.n_sources), dtype=np.complex128)
-    for j, (x, z, amp) in enumerate(acq.sources):
-        rhs[:, j] = point_source_rhs(grid, x, z, amp)
-    return rhs
+    nodes = [grid.flatten(*nearest_node(grid, x, z)) for x, z, _ in acq.sources]
+    loads = [complex(amp) / (grid.hx * grid.hz) for _, _, amp in acq.sources]
+    cols = np.arange(acq.n_sources)
+    return sp.csc_matrix(
+        (np.array(loads, dtype=np.complex128), (nodes, cols)),
+        shape=(grid.n_nodes, acq.n_sources),
+    )
 
 
 def receiver_matrix(grid: Grid2D, acq: Acquisition) -> sp.csr_matrix:

@@ -93,6 +93,11 @@ class InversionConfig:
                 raise GridError("eigenbasis mode needs a positive N schedule")
         if not (0.0 < self.armijo_c1 < 1.0 and 0.0 < self.ls_shrink < 1.0):
             raise GridError("need 0 < armijo_c1 < 1 and 0 < shrink < 1")
+        # a zero first trial passes Armijo with equality and never moves
+        if not (np.isfinite(self.ls_init_scale) and self.ls_init_scale > 0.0):
+            raise GridError(f"need a finite init_scale > 0, got {self.ls_init_scale}")
+        if self.ls_max_backtracks < 0:
+            raise GridError(f"need max_backtracks >= 0, got {self.ls_max_backtracks}")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "n_schedule", sched)
 
@@ -197,7 +202,7 @@ class MisfitEvaluator:
         acq.validate_in(grid)
         self.dataset = dataset
         self.rec_op = receiver_matrix(grid, acq)
-        self.rhs = source_batch(grid, acq)
+        self.rhs = source_batch(grid, acq).toarray()
         self.n_factor = 0
         self._entry: _Forward | None = None
 

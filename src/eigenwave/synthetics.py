@@ -1,7 +1,11 @@
 """Procedural test media, frequency-domain data synthesis and noise models.
 
 Everything here is a pure function of its arguments and a seed, so
-archives regenerate byte-identically.
+archives regenerate byte-identically on a fixed BLAS thread count.  The
+count matters because a threaded BLAS may round SuperLU's supernode
+updates differently: with OpenBLAS on 2 threads, a 16-column Helmholtz
+solve at 161x81 differed from the same columns solved one at a time by
+up to 2.9e-12, and matched bit for bit on 1 thread.
 """
 
 from __future__ import annotations
@@ -12,7 +16,15 @@ import numpy as np
 
 from .dataset import FrequencyDataset
 from .grid import Grid2D, GridError, Model, ScalarField, speed_to_slowness
-from .helmholtz import Acquisition, assemble, receiver_matrix, source_batch
+from .helmholtz import (
+    Acquisition,
+    HelmholtzOperator,
+    _run_lanes,
+    _solve_slab,
+    assemble,
+    receiver_matrix,
+    source_batch,
+)
 
 
 @dataclass(frozen=True)
@@ -81,19 +93,52 @@ def make_salt_model(spec: SaltModelSpec, grid: Grid2D) -> Model:
 def generate_data(
     model_true: Model, acquisition: Acquisition, frequencies_hz
 ) -> FrequencyDataset:
-    """Forward-solve and sample receivers for every (frequency, source)."""
+    """Forward-solve and sample receivers for every (frequency, source).
+
+    The frequencies run as a pipeline on helmholtz's slab lanes: while
+    the worker lanes solve frequency i, the calling thread assembles and
+    factors frequency i+1, then joins them on what is left.  Every LU is
+    made and dropped on the calling thread (see the helmholtz module
+    docstring for the leak a worker-made LU caused).  Each slab task
+    densifies its SLAB_COLUMNS source columns, solves them under
+    solve_array's residual contract and refinement, and writes the
+    receiver samples straight into the data, so no full wavefield and no
+    dense source block is ever held.  A pipelined variant that kept each
+    frequency's wavefields ran just as fast on the forward_survey
+    benchmark (321x161, 64 sources, where one wavefield block is 53 MB),
+    but its peak RSS read 415-426 MB, 13-14% above the unpipelined loop
+    and past the benchmark's 10% memory bound.  The data are bit-identical
+    to sampling solve_array's result: each slab is the same SuperLU call
+    on the same columns.
+    """
     grid = model_true.grid
     acquisition.validate_in(grid)
     freqs = tuple(float(f) for f in frequencies_hz)
     rec_op = receiver_matrix(grid, acquisition)
-    rhs = source_batch(grid, acquisition)
+    loads = source_batch(grid, acquisition)
     data = np.empty(
         (len(freqs), acquisition.n_sources, acquisition.n_receivers),
         dtype=np.complex128,
     )
-    for i, f in enumerate(freqs):
+
+    def factored(f: float) -> HelmholtzOperator:
         op = assemble(model_true, 2.0 * np.pi * f)
-        data[i] = (rec_op @ op.solve_array(rhs)).T
+        op.factor()
+        return op
+
+    ahead = factored(freqs[0]) if freqs else None
+    for i in range(len(freqs)):
+        op, lu = ahead, ahead.factor()
+
+        def sample(cols: slice) -> None:
+            x = _solve_slab(lu, op.matrix, loads[:, cols].toarray(), "N")
+            data[i, cols] = (rec_op @ x).T
+
+        def factor_next() -> None:
+            nonlocal ahead
+            ahead = factored(freqs[i + 1])
+
+        _run_lanes(acquisition.n_sources, sample, factor_next if i + 1 < len(freqs) else None)
     return FrequencyDataset(acquisition=acquisition, frequencies=freqs, data=data)
 
 

@@ -101,6 +101,17 @@ def test_synth_then_invert(synth_dir):
     assert final.grid == Grid2D(nx=24, nz=12, hx=50.0, hz=50.0)
 
 
+@pytest.mark.parametrize(
+    "line", ["armijo_c1 = 1.5", "init_scale = 0", "init_scale = -0.05", "max_backtracks = -1"]
+)
+def test_bad_line_search_setting_is_numerical_error(synth_dir, line):
+    cfg = invert_config(synth_dir, "synth/dataset", "inv_bad_ls")
+    path = synth_dir / "inv_bad_ls.ini"
+    path.write_text(path.read_text().replace("n_iter = 2\n", f"n_iter = 2\n{line}\n"))
+    assert main(["invert", "--config", cfg]) == EXIT_NUMERICAL
+    assert not (synth_dir / "inv_bad_ls").exists()
+
+
 def test_missing_dataset_is_io_error(synth_dir):
     cfg = invert_config(synth_dir, "no_such_dataset", "inv_missing")
     assert main(["invert", "--config", cfg]) == EXIT_IO

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -271,22 +272,62 @@ class TestSolve:
         lu = op.factor()
         caller = threading.get_ident()
         corrupted_in = set()
+        worker_started = threading.Event()
 
         class WorkerCorruptsSolve:
             def solve(self, b, trans="N"):
-                x = lu.solve(b, trans=trans)
-                if threading.get_ident() != caller:
-                    corrupted_in.add(threading.get_ident())
-                    x += 1.0
-                return x
+                if threading.get_ident() == caller:
+                    # lanes share one queue: hold the caller until a worker took a slab
+                    worker_started.wait(timeout=10)
+                    return lu.solve(b, trans=trans)
+                worker_started.set()
+                corrupted_in.add(threading.get_ident())
+                return lu.solve(b, trans=trans) + 1.0
 
         op._lu = WorkerCorruptsSolve()
         f = rng.standard_normal((g.n_nodes, 2 * helmholtz.SLAB_COLUMNS)) + 0j
         with pytest.raises(SolveError, match="residual contract"):
-            op.solve_array(f)  # slab 0 on the caller, slab 1 on a worker
+            op.solve_array(f)  # one slab on the caller, one on a worker
         assert corrupted_in
         # one slab runs on the caller alone and meets the contract
         op.solve_array(f[:, : helmholtz.SLAB_COLUMNS])
+
+    def test_busy_workers_leave_every_slab_to_the_caller(self, monkeypatch):
+        # the only worker is held by another job: lane 0 must solve every slab
+        # and return without waiting for the queued lane
+        pool = futures.ThreadPoolExecutor(max_workers=1)
+        monkeypatch.setattr(helmholtz, "_pool", pool)
+        monkeypatch.setattr(helmholtz, "_lane_count", lambda: 2)
+        release = threading.Event()
+        blocker = pool.submit(release.wait, 30)
+        rng = np.random.default_rng(16)
+        g = Grid2D(nx=12, nz=9, hx=10.0, hz=10.0)
+        op = assemble(homogeneous_model(g), omega=25.0)
+        lu = op.factor()
+        k = 2 * helmholtz.SLAB_COLUMNS + 1
+        f = rng.standard_normal((g.n_nodes, k)) + 1j * rng.standard_normal((g.n_nodes, k))
+        solved_on = []
+
+        class RecordingSolve:
+            def solve(self, b, trans="N"):
+                solved_on.append(threading.get_ident())
+                return lu.solve(b, trans=trans)
+
+        op._lu = RecordingSolve()
+        out = {}
+        caller = threading.Thread(target=lambda: out.setdefault("u", op.solve_array(f)))
+        try:
+            caller.start()
+            caller.join(timeout=20)
+            assert not caller.is_alive(), "solve_array waited on a lane that never started"
+        finally:
+            release.set()
+            blocker.result(timeout=30)
+            pool.shutdown(wait=True)
+        caller.join(timeout=30)
+        assert set(solved_on) == {caller.ident}
+        alone = np.stack([lu.solve(f[:, [j]])[:, 0] for j in range(k)], axis=1)
+        assert out["u"].tobytes() == alone.tobytes()
 
     def test_concurrent_callers_share_the_workers(self, monkeypatch):
         # more lanes and callers than cores, switching threads every microsecond

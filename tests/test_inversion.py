@@ -592,6 +592,26 @@ class TestConfigValidation:
         with pytest.raises(GridError):
             InversionConfig(frequencies=(2.0,), spec=DiffusionSpec("eta9"))
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"ls_init_scale": 0.0},
+            {"ls_init_scale": -0.05},
+            {"ls_init_scale": float("nan")},
+            {"ls_init_scale": float("inf")},
+            {"ls_max_backtracks": -1},
+        ],
+    )
+    def test_line_search_settings_rejected(self, knobs):
+        with pytest.raises(GridError):
+            InversionConfig(frequencies=(2.0,), n_schedule=(5,), spec=DiffusionSpec("eta9"), **knobs)
+
+    def test_zero_backtracks_allowed(self):
+        config = InversionConfig(
+            frequencies=(2.0,), n_schedule=(5,), spec=DiffusionSpec("eta9"), ls_max_backtracks=0
+        )
+        assert config.ls_max_backtracks == 0
+
     def test_block_pairing(self):
         spec = DiffusionSpec("eta9")
         c1 = InversionConfig(frequencies=(2.0, 3.0), n_schedule=(5, 8), spec=spec)

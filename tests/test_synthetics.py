@@ -1,8 +1,32 @@
+import gc
+import threading
+import time
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from eigenwave import helmholtz, synthetics
+from eigenwave.diffusion import DiffusionSpec
 from eigenwave.grid import Grid2D, GridError
-from eigenwave.synthetics import add_model_noise, make_layered_model
+from eigenwave.helmholtz import (
+    Acquisition,
+    SolveError,
+    assemble,
+    point_source_rhs,
+    receiver_matrix,
+    source_batch,
+)
+from eigenwave.inversion import InversionConfig, run_inversion
+from eigenwave.synthetics import (
+    Dome,
+    SaltModelSpec,
+    add_model_noise,
+    generate_data,
+    make_layered_model,
+    make_salt_model,
+)
 
 
 def layered_model():
@@ -40,3 +64,144 @@ class TestAddModelNoise:
     def test_percent_out_of_range(self, percent):
         with pytest.raises(GridError):
             add_model_noise(layered_model(), percent, seed=1)
+
+
+def survey(n_sources):
+    g = Grid2D(nx=24, nz=12, hx=50.0, hz=50.0)
+    dome = Dome(x=600.0, z=300.0, rx=200.0, rz=100.0, speed=2400.0)
+    model = make_salt_model(SaltModelSpec(1500.0, 2000.0, (dome,), c_min=800.0, c_max=5000.0), g)
+    acq = Acquisition(
+        sources=tuple((x, 100.0, 1.0 - 0.5j) for x in np.linspace(100.0, 1000.0, n_sources)),
+        receivers=tuple((x, 50.0) for x in np.linspace(50.0, 1100.0, 10)),
+    )
+    return model, acq
+
+
+def reference_data(model, acq, freqs):
+    """Each frequency factored on its own, each source solved and sampled alone."""
+    rec = receiver_matrix(model.grid, acq)
+    out = np.empty((len(freqs), acq.n_sources, acq.n_receivers), dtype=np.complex128)
+    for i, f in enumerate(freqs):
+        lu = assemble(model, 2.0 * np.pi * f).factor()
+        for j, (x, z, amp) in enumerate(acq.sources):
+            u = lu.solve(point_source_rhs(model.grid, x, z, amp)[:, None])
+            out[i, j] = (rec @ u)[:, 0]
+    return out
+
+
+class TestGenerateData:
+    @pytest.mark.parametrize("lanes", [None, 1])  # None: one lane per CPU
+    @pytest.mark.parametrize("freqs", [(4.0,), (4.0, 5.0, 6.0)])
+    @pytest.mark.parametrize("n_sources", [1, 8, 9, 17])
+    def test_matches_column_by_column_reference(self, monkeypatch, n_sources, freqs, lanes):
+        if lanes is not None:
+            monkeypatch.setattr(helmholtz, "_lane_count", lambda: lanes)
+        model, acq = survey(n_sources)
+        ds = generate_data(model, acq, freqs)
+        assert ds.frequencies == freqs
+        assert ds.data.tobytes() == reference_data(model, acq, freqs).tobytes()
+
+    def test_source_batch_is_sparse_point_loads(self):
+        model, acq = survey(9)
+        loads = source_batch(model.grid, acq)
+        assert sp.issparse(loads) and loads.format == "csc" and loads.nnz == 9
+        dense = np.stack([point_source_rhs(model.grid, x, z, a) for x, z, a in acq.sources], axis=1)
+        assert loads.toarray().tobytes() == dense.tobytes()
+
+    def test_factor_failure_waits_for_every_lane(self, monkeypatch):
+        monkeypatch.setattr(helmholtz, "_lane_count", lambda: 2)
+        model, acq = survey(17)
+        freqs = (4.0, 5.0, 6.0)
+        expected = generate_data(model, acq, freqs).data.tobytes()
+        real_splu, real_slab = spla.splu, synthetics._solve_slab
+        n_splu, running, slab_started = [0], [0], threading.Event()
+        lock = threading.Lock()
+
+        def splu_failing_second(A, **kwargs):
+            n_splu[0] += 1
+            if n_splu[0] == 2:  # frequency 2, factored while a worker solves frequency 1
+                slab_started.wait(timeout=10)
+                raise RuntimeError("Factor is exactly singular")
+            return real_splu(A, **kwargs)
+
+        def slow_slab(*args):
+            with lock:
+                running[0] += 1
+            slab_started.set()
+            try:
+                time.sleep(0.05)
+                return real_slab(*args)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spla, "splu", splu_failing_second)
+            patch.setattr(synthetics, "_solve_slab", slow_slab)
+            with pytest.raises(SolveError, match="sparse LU failed"):
+                generate_data(model, acq, freqs)
+            assert slab_started.is_set()
+            assert running[0] == 0  # no lane was still solving when the error arrived
+        assert generate_data(model, acq, freqs).data.tobytes() == expected
+
+    def test_worker_residual_miss_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(helmholtz, "_lane_count", lambda: 2)
+        model, acq = survey(9)  # two slabs, one frequency: the caller takes one
+        caller = threading.get_ident()
+        worker_started = threading.Event()
+        real_splu = spla.splu
+
+        class WorkerCorruptsSolve:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b, trans="N"):
+                if threading.get_ident() == caller:
+                    worker_started.wait(timeout=10)
+                    return self.lu.solve(b, trans=trans)
+                worker_started.set()
+                return self.lu.solve(b, trans=trans) + 1.0
+
+        monkeypatch.setattr(spla, "splu", lambda A, **kw: WorkerCorruptsSolve(real_splu(A, **kw)))
+        with pytest.raises(SolveError, match="residual contract"):
+            generate_data(model, acq, (4.0,))
+        assert worker_started.is_set()
+
+
+@pytest.mark.parametrize("job", ["generate_data", "run_inversion"])
+def test_every_lu_is_made_and_dropped_on_the_calling_thread(monkeypatch, job):
+    monkeypatch.setattr(helmholtz, "_lane_count", lambda: 3)
+    model, acq = survey(17)
+    if job == "run_inversion":
+        ds = generate_data(model, acq, (4.0,))
+    made_on, dropped_on = [], []
+    real_splu = spla.splu
+
+    class RecordedLU:
+        def __init__(self, A, **kwargs):
+            made_on.append(threading.get_ident())
+            self.lu = real_splu(A, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+        def __del__(self):
+            dropped_on.append(threading.get_ident())
+
+    monkeypatch.setattr(spla, "splu", RecordedLU)
+    if job == "generate_data":
+        generate_data(model, acq, (4.0, 5.0, 6.0))
+        n_lu = 3
+    else:
+        start = make_layered_model(model.grid, 1500.0, 2000.0, c_min=800.0, c_max=5000.0)
+        config = InversionConfig(
+            frequencies=(4.0,), n_schedule=(3, 5), n_iter=2, spec=DiffusionSpec("eta3", 0.05)
+        )
+        assert len(config.blocks()) == 2
+        run_inversion(config, ds, start)
+        n_lu = len(made_on)
+        assert n_lu >= 4  # the diffusion LU and at least one Helmholtz LU per block
+    gc.collect()
+    me = threading.get_ident()
+    assert made_on == [me] * n_lu
+    assert dropped_on == [me] * n_lu
