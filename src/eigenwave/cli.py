@@ -64,7 +64,7 @@ SCHEMA: dict[str, set[str]] = {
     },
     "data": {"frequencies", "snr_db", "path"},
     "inversion": {
-        "n_schedule", "n_iter", "refresh_basis", "nodal",
+        "n_schedule", "n_iter", "nodal",
         "armijo_c1", "shrink", "max_backtracks", "init_scale",
     },
     "output": {"dir"},
@@ -339,24 +339,26 @@ def cmd_decompose(cfg: RunConfig, seed: int, threads: int) -> int:
 
 
 def cmd_invert(cfg: RunConfig, seed: int, threads: int) -> int:
+    nodal = cfg.get_bool("inversion", "nodal", False)
+    try:
+        config = InversionConfig(
+            frequencies=cfg.get_floats("data", "frequencies"),
+            n_schedule=() if nodal else cfg.get_ints("inversion", "n_schedule"),
+            n_iter=cfg.get_int("inversion", "n_iter", 30),
+            spec=None if nodal else cfg.diffusion_spec(),
+            nodal=nodal,
+            armijo_c1=cfg.get_float("inversion", "armijo_c1", 1e-4),
+            ls_shrink=cfg.get_float("inversion", "shrink", 0.5),
+            ls_max_backtracks=cfg.get_int("inversion", "max_backtracks", 20),
+            ls_init_scale=cfg.get_float("inversion", "init_scale", 0.05),
+        )
+    except GridError as exc:
+        raise ConfigError(f"{cfg.path}: {exc}") from exc
     ds_path = cfg.resolve(cfg.get_str("data", "path"))
     if not ds_path.is_dir():
         raise FileNotFoundError(f"dataset directory not found: {ds_path}")
     dataset = load_dataset(ds_path)
     m_start = cfg.load_model("start_path")
-    nodal = cfg.get_bool("inversion", "nodal", False)
-    config = InversionConfig(
-        frequencies=cfg.get_floats("data", "frequencies"),
-        n_schedule=() if nodal else cfg.get_ints("inversion", "n_schedule"),
-        n_iter=cfg.get_int("inversion", "n_iter", 30),
-        spec=None if nodal else cfg.diffusion_spec(),
-        refresh_basis=cfg.get_bool("inversion", "refresh_basis", False),
-        nodal=nodal,
-        armijo_c1=cfg.get_float("inversion", "armijo_c1", 1e-4),
-        ls_shrink=cfg.get_float("inversion", "shrink", 0.5),
-        ls_max_backtracks=cfg.get_int("inversion", "max_backtracks", 20),
-        ls_init_scale=cfg.get_float("inversion", "init_scale", 0.05),
-    )
     final, history = run_inversion(config, dataset, m_start)
     out = fileio.ensure_dir(cfg.output_dir())
     history.to_csv(out / "history.csv")

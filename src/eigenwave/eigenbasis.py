@@ -88,6 +88,11 @@ def smallest_eigenpairs(
         # passing OPinv keeps eigsh from factoring A a second time
         op_inv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
         v0 = np.random.default_rng(seed).standard_normal(dim)
+        # tol=0 is machine precision.  tol=1e-10 took 253 instead of 304
+        # OPinv applications for N = 100 on the 161x81 salt model, but on the
+        # 25x13 Laplacian it dropped one copy of a double eigenvalue (one of
+        # the 12 smallest came out 4.2% wrong) and the residual check below
+        # still passed: a loose tolerance loses pairs silently.
         try:
             vals, vecs = spla.eigsh(A, k=n, sigma=0.0, OPinv=op_inv, v0=v0, tol=0)
         except spla.ArpackError as exc:

