@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -49,6 +50,22 @@ DEFAULT_BETA_GRID = (
 
 class ConfigError(ValueError):
     """Bad run configuration (schema violation, missing key, bad value)."""
+
+
+def _config_values(reader):
+    """Report a value from the config that the package rejects (GridError,
+    DiffusionError and a failed number parse are all ValueErrors) as a ConfigError."""
+
+    @functools.wraps(reader)
+    def read(self, *args):
+        try:
+            return reader(self, *args)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{self.path}: {exc}") from exc
+
+    return read
 
 
 SCHEMA: dict[str, set[str]] = {
@@ -147,18 +164,25 @@ class RunConfig:
         if isinstance(raw, tuple):
             return raw
         try:
-            return tuple(float(t) for t in str(raw).replace(",", " ").split())
-        except ValueError as exc:
-            raise ConfigError(f"{self.path}: [{section}] {key} = {raw!r} is not a number list") from exc
+            values = tuple(float(t) for t in str(raw).replace(",", " ").split())
+        except ValueError:
+            values = ()
+        if not values:
+            raise ConfigError(f"{self.path}: [{section}] {key} = {raw!r} is not a number list")
+        return values
 
     def get_ints(self, section, key, default=None) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.get_floats(section, key, default))
+        values = self.get_floats(section, key, default)
+        if not all(float(v).is_integer() for v in values):
+            raise ConfigError(f"{self.path}: [{section}] {key} = {values} holds a non-integer")
+        return tuple(int(v) for v in values)
 
     def resolve(self, relpath: str) -> Path:
         return (self.path.parent / relpath).resolve()
 
     # -- composite readers ---------------------------------------------------
 
+    @_config_values
     def grid(self) -> Grid2D:
         return Grid2D(
             nx=self.get_int("grid", "nx"),
@@ -175,16 +199,20 @@ class RunConfig:
             raise ConfigError(f"{self.path}: [spec] eta = {kind!r}, expected one of {ETA_KINDS}")
         return kind
 
+    @_config_values
     def diffusion_spec(self) -> DiffusionSpec:
         return DiffusionSpec(kind=self.eta_kind(), beta=self.get_float("spec", "beta", 1.0))
 
+    @_config_values
     def beta_list(self, kind: str) -> tuple[float, ...]:
         if kind in BETA_FREE_KINDS:
             return (1.0,)
-        if self.has("spec", "beta_list"):
-            return self.get_floats("spec", "beta_list")
-        return DEFAULT_BETA_GRID
+        betas = self.get_floats("spec", "beta_list", DEFAULT_BETA_GRID)
+        for beta in betas:
+            DiffusionSpec(kind=kind, beta=beta)  # raises on a beta the kind rejects
+        return betas
 
+    @_config_values
     def acquisition(self) -> Acquisition:
         amp = complex(self.get_str("acquisition", "source_amplitude", "1"))
         n_src = self.get_int("acquisition", "n_sources")
@@ -206,6 +234,7 @@ class RunConfig:
             receivers=tuple((x, rec_z) for x in rec_x),
         )
 
+    @_config_values
     def domes(self) -> tuple[Dome, ...]:
         raw = self.get_str("model", "domes", "")
         out = []
@@ -221,6 +250,7 @@ class RunConfig:
             out.append(Dome(*parts))
         return tuple(out)
 
+    @_config_values
     def build_model(self, seed: int) -> Model:
         kind = self.get_str("model", "kind", "salt")
         grid = self.grid()

@@ -110,7 +110,10 @@ def load_dataset(directory: str | os.PathLike) -> FrequencyDataset:
             pos += 1
     except (IndexError, ValueError) as exc:
         raise fileio.FieldFileError(f"{root / ACQ_NAME}: malformed near line {pos + 1}") from exc
-    acq = Acquisition(sources=tuple(sources), receivers=tuple(receivers))
+    try:
+        acq = Acquisition(sources=tuple(sources), receivers=tuple(receivers))
+    except GridError as exc:
+        raise fileio.FieldFileError(f"{root / ACQ_NAME}: {exc}") from exc
 
     frequencies, files, snr_db = _read_manifest(root / MANIFEST_NAME, n_src, n_rec)
     data = np.empty((len(frequencies), n_src, n_rec), dtype=np.complex128)

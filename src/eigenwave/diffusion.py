@@ -5,17 +5,23 @@ regularizers (Perona-Malik, Geman, Green, Charbonnier, Lorentzian,
 Gaussian, total variation, Tikhonov).  All of them act on gradient
 magnitudes normalized by their maximum over the grid, so values stay in
 [0, 1] regardless of the physical units of the field.
+
+The operator -div(eta grad) with homogeneous Dirichlet edges is the
+interior block of the flux stencil Kx + Kz of grid.flux_stencil; the
+block's coupling to the edge nodes becomes `boundary_op`, which feeds the
+edge values of a model into the interior solve of its lift.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid2D, GridError, ScalarField, same_grid
+from .grid import Grid2D, ScalarField, flux_stencil, same_grid
 from .helmholtz import PERMC_SPEC
 
 ETA_KINDS = (
@@ -162,78 +168,47 @@ class DiffusionOperator:
         return self._lu
 
     def interior_indices(self) -> np.ndarray:
-        g = self.grid
-        ix, iz = np.meshgrid(np.arange(1, g.nx - 1), np.arange(1, g.nz - 1))
-        return (iz.ravel() * g.nx + ix.ravel()).astype(np.int64)
-
-    def embed(self, interior: np.ndarray) -> np.ndarray:
-        """Zero-pad an interior vector back onto the full node set."""
-        full = np.zeros(self.grid.n_nodes)
-        full[self.interior_indices()] = interior
-        return full
+        return np.flatnonzero(self.grid.interior_mask())
 
 
 def assemble_diffusion(eta: ScalarField) -> DiffusionOperator:
-    """Five-point flux discretization with arithmetic face averages of eta."""
+    """The interior rows of the flux stencil of eta, split by column.
+
+    `matrix` is (Kx + Kz)[interior, interior] and `boundary_op` is
+    -(Kx + Kz)[interior, edge], kept n_nodes wide with the interior
+    columns empty (see grid.flux_stencil).
+    """
     if np.any(eta.values <= 0.0):
         raise DiffusionError("eta must be strictly positive")
-    g = eta.grid
-    nx, nz = g.nx, g.nz
-    e2d = eta.as_2d()
-    inv_hx2 = 1.0 / (g.hx * g.hx)
-    inv_hz2 = 1.0 / (g.hz * g.hz)
-
-    # face coefficients at interior nodes, shaped (nz-2, nx-2)
-    c = e2d[1:-1, 1:-1]
-    coef_e = 0.5 * (c + e2d[1:-1, 2:]) * inv_hx2
-    coef_w = 0.5 * (c + e2d[1:-1, :-2]) * inv_hx2
-    coef_s = 0.5 * (c + e2d[2:, 1:-1]) * inv_hz2
-    coef_n = 0.5 * (c + e2d[:-2, 1:-1]) * inv_hz2
-
-    mx, mz = nx - 2, nz - 2
-    n_int = mx * mz
-    ii = np.arange(n_int).reshape(mz, mx)
-
-    rows = [ii.ravel()]
-    cols = [ii.ravel()]
-    vals = [(coef_e + coef_w + coef_n + coef_s).ravel()]
-
-    brows: list[np.ndarray] = []
-    bcols: list[np.ndarray] = []
-    bvals: list[np.ndarray] = []
-
-    def couple(coef, int_slice, nb_interior):
-        rows.append(ii[int_slice].ravel())
-        cols.append(nb_interior.ravel())
-        vals.append(-coef[int_slice].ravel())
-
-    # east: interior neighbors for ix < mx-1, boundary column nx-1 otherwise
-    couple(coef_e, (slice(None), slice(0, mx - 1)), ii[:, 1:])
-    couple(coef_w, (slice(None), slice(1, mx)), ii[:, :-1])
-    couple(coef_s, (slice(0, mz - 1), slice(None)), ii[1:, :])
-    couple(coef_n, (slice(1, mz), slice(None)), ii[:-1, :])
-
-    # boundary couplings feed the Dirichlet right-hand side
-    full_idx = np.arange(nx * nz).reshape(nz, nx)
-    for coef, int_slice, full_cols in (
-        (coef_e, (slice(None), mx - 1), full_idx[1:-1, nx - 1]),
-        (coef_w, (slice(None), 0), full_idx[1:-1, 0]),
-        (coef_s, (mz - 1, slice(None)), full_idx[nz - 1, 1:-1]),
-        (coef_n, (0, slice(None)), full_idx[0, 1:-1]),
-    ):
-        brows.append(np.atleast_1d(ii[int_slice]).ravel())
-        bcols.append(np.atleast_1d(full_cols).ravel())
-        bvals.append(np.atleast_1d(coef[int_slice]).ravel())
-
-    matrix = sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_int, n_int),
+    kx, kz = flux_stencil(eta)
+    flux = kx + kz
+    nnz, block, edge = _blocks(eta.grid)
+    if flux.nnz != nnz:  # a face weight eta / h^2 underflowed to zero
+        raise DiffusionError("eta is too small for the grid spacing")
+    return DiffusionOperator(
+        grid=eta.grid,
+        matrix=sp.csc_matrix((flux.data[block.data], block.indices, block.indptr), shape=block.shape),
+        boundary_op=sp.csr_matrix((-flux.data[edge.data], edge.indices, edge.indptr), shape=edge.shape),
     )
-    boundary_op = sp.csr_matrix(
-        (np.concatenate(bvals), (np.concatenate(brows), np.concatenate(bcols))),
-        shape=(n_int, nx * nz),
-    )
-    return DiffusionOperator(grid=g, matrix=matrix, boundary_op=boundary_op)
+
+
+@functools.lru_cache(maxsize=4)
+def _blocks(grid: Grid2D) -> tuple[int, sp.csc_matrix, sp.csr_matrix]:
+    """The entry count of Kx + Kz and the patterns of assemble_diffusion's
+    two blocks, each entry holding its position in (Kx + Kz).data.
+    Selecting the blocks took 3.4 ms at 161x81; a gather takes 0.3 ms."""
+    kx, kz = flux_stencil(ScalarField(grid, np.ones(grid.n_nodes)))
+    interior = grid.interior_mask()
+    k = kx + kz
+    # positions + 1: a sparse operation drops the zero of the first entry
+    rows = sp.csr_matrix((np.arange(1.0, k.nnz + 1), k.indices, k.indptr), shape=k.shape)[interior]
+    block = rows[:, interior].tocsc()
+    edge = rows @ sp.diags((~interior).astype(np.float64))  # a sparse product stores no zeros
+    for pattern in (block, edge):
+        pattern.data = pattern.data.astype(np.intp) - 1
+        for arr in (pattern.data, pattern.indices, pattern.indptr):
+            arr.setflags(write=False)
+    return k.nnz, block, edge
 
 
 def lift_from_operator(op: DiffusionOperator, m: ScalarField) -> ScalarField:
@@ -246,8 +221,6 @@ def lift_from_operator(op: DiffusionOperator, m: ScalarField) -> ScalarField:
     bound = LIFT_RTOL * max(1.0, np.linalg.norm(rhs))
     if rnorm > bound:
         raise DiffusionError(f"lift residual {rnorm:.3e} exceeds {bound:.3e}")
-    full = op.embed(interior)
-    boundary = np.ones(m.grid.n_nodes, dtype=bool)
-    boundary[op.interior_indices()] = False
-    full[boundary] = m.values[boundary]
+    full = np.array(m.values)
+    full[m.grid.interior_mask()] = interior
     return ScalarField(m.grid, full)

@@ -15,7 +15,7 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from .grid import Grid2D, ScalarField
+from .grid import Grid2D, GridError, ScalarField
 
 MAGIC = "EWF1"
 
@@ -64,12 +64,11 @@ def read_field(path: str | os.PathLike) -> ScalarField:
         parts = header.split()
         if len(parts) != 7 or parts[0] != MAGIC:
             raise FieldFileError(f"bad header {header!r} in {path}")
-        try:
-            nx, nz = int(parts[1]), int(parts[2])
+        try:  # GridError, for a grid the header cannot describe, is a ValueError
             hx, hz, x0, z0 = (float(p) for p in parts[3:7])
+            grid = Grid2D(nx=int(parts[1]), nz=int(parts[2]), hx=hx, hz=hz, x0=x0, z0=z0)
         except ValueError as exc:
-            raise FieldFileError(f"unparsable header {header!r} in {path}") from exc
-        grid = Grid2D(nx=nx, nz=nz, hx=hx, hz=hz, x0=x0, z0=z0)
+            raise FieldFileError(f"bad header {header!r} in {path}: {exc}") from exc
         payload = fh.read()
     expected = grid.n_nodes * 8
     if len(payload) != expected:
@@ -77,8 +76,10 @@ def read_field(path: str | os.PathLike) -> ScalarField:
             f"payload size mismatch in {path}: header promises {expected} bytes, "
             f"found {len(payload)}"
         )
-    values = np.frombuffer(payload, dtype="<f8")
-    return ScalarField(grid, values)
+    try:
+        return ScalarField(grid, np.frombuffer(payload, dtype="<f8"))
+    except GridError as exc:
+        raise FieldFileError(f"bad payload in {path}: {exc}") from exc
 
 
 def write_field_csv(path: str | os.PathLike, field: ScalarField) -> None:

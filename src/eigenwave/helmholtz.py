@@ -7,6 +7,14 @@ and scaled by 1/h so boundary rows have the same magnitude as interior
 rows.  Bottom corners take the condition of the vertical edge they touch,
 top corners are Dirichlet.
 
+So the rows come from the flux stencil (Kx, Kz) of grid.flux_stencil at
+eta = 1: interior rows are Kx + Kz, side-edge rows Kx, bottom rows Kz,
+Dirichlet rows identity rows, and the model adds a diagonal.  These rows
+and the row masks are cached per (grid, layout), and every operator
+shares their read-only index arrays.  In one measurement the cache took
+9 ms to build at 161x81 (25 ms at 321x161), about one whole assembly
+without it (7 ms, 31 ms); an assembly from it takes 0.4 ms (1.6 ms).
+
 One sparse LU factorization serves every right-hand side at a frequency,
 including the adjoint (conjugate-transposed) systems.
 
@@ -52,6 +60,7 @@ flat at 81 MB.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from collections.abc import Callable
@@ -62,7 +71,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid2D, GridError, Model
+from .grid import Grid2D, GridError, Model, ScalarField, flux_stencil
 
 RESIDUAL_RTOL = 1e-10
 # column ordering for every sparse LU: minimum degree on A^T + A
@@ -281,6 +290,30 @@ if hasattr(os, "register_at_fork"):  # POSIX; elsewhere nothing forks
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+@functools.lru_cache(maxsize=4)
+def _fixed_rows(grid: Grid2D, all_dirichlet: bool):
+    """The model-independent part of assemble for one (grid, layout): the
+    real stencil matrix, the position of each row's diagonal in its data,
+    the interior and Dirichlet row masks and (rows, h) per outgoing edge,
+    all read-only, since every operator on the grid shares them."""
+    n = grid.n_nodes
+    interior = grid.interior_mask()
+    ix, iz = np.tile(np.arange(grid.nx), grid.nz), np.repeat(np.arange(grid.nz), grid.nx)
+    dirichlet = ~interior if all_dirichlet else iz == 0
+    side = ((ix == 0) | (ix == grid.nx - 1)) & ~dirichlet  # with the bottom corners
+    bottom = (iz == grid.nz - 1) & ~dirichlet & ~side
+    kx, kz = flux_stencil(ScalarField(grid, np.ones(n)))
+
+    def rows(mask):  # a sparse product stores no zeros, so the other rows drop out
+        return sp.diags(mask.astype(np.float64))
+
+    stencil = (rows(interior) @ (kx + kz) + rows(side) @ kx + rows(bottom) @ kz + rows(dirichlet)).tocsc()
+    diagonal = np.flatnonzero(stencil.indices == np.repeat(np.arange(n), np.diff(stencil.indptr)))
+    for arr in (stencil.data, stencil.indices, stencil.indptr, diagonal, interior, dirichlet, side, bottom):
+        arr.setflags(write=False)
+    return stencil, diagonal, interior, dirichlet, ((side, grid.hx), (bottom, grid.hz))
+
+
 def assemble(model: Model, omega: float, all_dirichlet: bool = False) -> HelmholtzOperator:
     """Build the sparse Helmholtz matrix for a model at angular frequency omega.
 
@@ -290,76 +323,21 @@ def assemble(model: Model, omega: float, all_dirichlet: bool = False) -> Helmhol
     """
     if omega <= 0.0:
         raise GridError(f"omega must be positive, got {omega}")
-    g = model.grid
-    nx, nz, hx, hz = g.nx, g.nz, g.hx, g.hz
-    n = g.n_nodes
-    m = model.m
-    sqrt_m = np.sqrt(m)
-
-    inv_hx2 = 1.0 / (hx * hx)
-    inv_hz2 = 1.0 / (hz * hz)
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    ddiag = np.zeros(n, dtype=np.complex128)
-    dirichlet = np.zeros(n, dtype=bool)
-
-    ix_all, iz_all = np.meshgrid(np.arange(nx), np.arange(nz))
-    ix_all = ix_all.ravel()
-    iz_all = iz_all.ravel()
-    idx_all = iz_all * nx + ix_all
-
-    interior = (ix_all > 0) & (ix_all < nx - 1) & (iz_all > 0) & (iz_all < nz - 1)
-    if all_dirichlet:
-        boundary_dir = ~interior
-        left = right = bottom = np.zeros(n, dtype=bool)
-    else:
-        boundary_dir = iz_all == 0
-        left = (ix_all == 0) & ~boundary_dir
-        right = (ix_all == nx - 1) & ~boundary_dir
-        bottom = (iz_all == nz - 1) & ~boundary_dir & ~left & ~right
-
-    # interior 5-point rows
-    idx = idx_all[interior]
-    diag = 2.0 * inv_hx2 + 2.0 * inv_hz2 - omega ** 2 * m[idx]
-    rows += [idx, idx, idx, idx, idx]
-    cols += [idx, idx - 1, idx + 1, idx - nx, idx + nx]
-    vals += [
-        diag.astype(np.complex128),
-        np.full(idx.size, -inv_hx2, dtype=np.complex128),
-        np.full(idx.size, -inv_hx2, dtype=np.complex128),
-        np.full(idx.size, -inv_hz2, dtype=np.complex128),
-        np.full(idx.size, -inv_hz2, dtype=np.complex128),
-    ]
-    ddiag[idx] = -(omega ** 2)
-
-    # Dirichlet rows (free surface, or all edges in the manufactured variant)
-    idx = idx_all[boundary_dir]
-    rows.append(idx)
-    cols.append(idx)
-    vals.append(np.ones(idx.size, dtype=np.complex128))
-    dirichlet[idx] = True
-
+    g, m = model.grid, model.m
+    stencil, diagonal, interior, dirichlet, outgoing = _fixed_rows(g, all_dirichlet)
+    diag = np.zeros(g.n_nodes, dtype=np.complex128)
+    ddiag = np.zeros(g.n_nodes, dtype=np.complex128)
+    diag[interior] = -(omega ** 2) * m[interior]
+    ddiag[interior] = -(omega ** 2)
     # outgoing rows: (p_b - p_in)/h^2 - i*omega*sqrt(m)/h * p_b = 0
-    for mask, step, h in ((left, 1, hx), (right, -1, hx), (bottom, -nx, hz)):
-        idx = idx_all[mask]
-        if idx.size == 0:
-            continue
-        inv_h2 = 1.0 / (h * h)
-        diag = inv_h2 - 1j * omega * sqrt_m[idx] / h
-        rows += [idx, idx]
-        cols += [idx, idx + step]
-        vals += [diag, np.full(idx.size, -inv_h2, dtype=np.complex128)]
-        ddiag[idx] = -1j * omega / (2.0 * sqrt_m[idx] * h)
-
-    matrix = sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return HelmholtzOperator(
-        grid=g, omega=omega, matrix=matrix, ddiag_dm=ddiag, dirichlet_mask=dirichlet
-    )
+    for mask, h in outgoing:
+        sqrt_m = np.sqrt(m[mask])
+        diag[mask] = -1j * omega * sqrt_m / h
+        ddiag[mask] = -1j * omega / (2.0 * sqrt_m * h)
+    data = stencil.data.astype(np.complex128)
+    data[diagonal] += diag
+    matrix = sp.csc_matrix((data, stencil.indices, stencil.indptr), shape=stencil.shape)
+    return HelmholtzOperator(grid=g, omega=omega, matrix=matrix, ddiag_dm=ddiag, dirichlet_mask=dirichlet)
 
 
 def nearest_node(grid: Grid2D, x: float, z: float) -> tuple[int, int]:

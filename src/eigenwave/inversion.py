@@ -99,6 +99,7 @@ class InversionConfig:
             raise GridError(f"need max_backtracks >= 0, got {self.ls_max_backtracks}")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "n_schedule", sched)
+        self.blocks()  # raises when the schedules cannot pair
 
     def blocks(self) -> list[tuple[float, int]]:
         """(frequency, N) per optimization block."""

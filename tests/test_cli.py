@@ -39,12 +39,10 @@ def write_config(path, body):
     return str(path)
 
 
-@pytest.fixture(scope="module")
-def synth_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("cli")
-    cfg = write_config(
-        root / "synth.ini",
-        """\
+def synth_config(root, out):
+    return write_config(
+        root / f"{out}.ini",
+        f"""\
 [model]
 kind = salt
 c_top = 1500
@@ -58,9 +56,15 @@ frequencies = 4 5 6
 snr_db = 40
 
 [output]
-dir = synth
+dir = {out}
 """,
     )
+
+
+@pytest.fixture(scope="module")
+def synth_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    cfg = synth_config(root, "synth")
     assert main(["synth", "--config", cfg, "--seed", "3"]) == EXIT_OK
     start = make_layered_model(Grid2D(nx=24, nz=12, hx=50.0, hz=50.0), 1500.0, 2000.0)
     write_field(root / "start.ewf", start.field)
@@ -242,3 +246,43 @@ def test_unknown_eta_is_config_error(synth_dir, command):
 def test_basis_larger_than_interior_is_numerical_error(synth_dir):
     cfg = basis_config(synth_dir, "too_many", n_list=str(22 * 10 + 1))  # interior is 22x10
     assert main(["dump-basis", "--config", cfg]) == EXIT_NUMERICAL
+
+
+# (command, line of the valid config, its bad replacement, part of the message);
+# invert reads a dataset that does not exist, so the config error must come
+# before any file is read
+BAD_VALUES = [
+    ("dump-basis", "beta = 0.05", "beta = -1", "beta > 0"),
+    ("invert", "beta = 0.05", "beta = -1", "beta > 0"),
+    ("invert", "n_schedule = 3 4 5", "n_schedule = 3 4", "cannot pair 3 frequencies"),
+    ("decompose", "beta_list = 0.01 0.1 1", "beta_list = -1 0.1", "beta > 0"),
+    ("decompose", "n_list = 5 10", "n_list = 5.7", "non-integer"),
+    ("decompose", "n_list = 5 10", "n_list =", "not a number list"),
+    ("synth", "domes = 600,300,200,100,2400", "domes = 600,300,200,100,9000", "dome speed"),
+    ("synth", "domes = 600,300,200,100,2400", "domes = 600,300,200,abc,2400", "'abc'"),
+    ("synth", "c_max = 5000", "c_max = 5000\nnoise_percent = 150", "noise percent"),
+    ("synth", "nx = 24", "nx = 2", "at least 3x3"),
+    ("synth", "n_sources = 3", "n_sources = 3\nsource_amplitude = abc", "malformed"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, line, bad, message",
+    [pytest.param(*case, id=f"{case[0]}:{case[2].splitlines()[-1]}") for case in BAD_VALUES],
+)
+def test_bad_value_is_config_error(synth_dir, capsys, command, line, bad, message):
+    out = "bad_value"
+    cfg = {
+        "synth": lambda: synth_config(synth_dir, out),
+        "invert": lambda: invert_config(synth_dir, "no_such_dataset", out),
+        "decompose": lambda: basis_config(synth_dir, out),
+        "dump-basis": lambda: basis_config(synth_dir, out),
+    }[command]()
+    path = synth_dir / f"{out}.ini"
+    text = path.read_text()
+    assert f"\n{line}\n" in text
+    path.write_text(text.replace(f"\n{line}\n", f"\n{bad}\n"))
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}") and message in err
+    assert not (synth_dir / out).exists()

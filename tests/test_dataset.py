@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eigenwave.dataset import MANIFEST_NAME, FrequencyDataset, load_dataset, save_dataset
+from eigenwave.dataset import ACQ_NAME, MANIFEST_NAME, FrequencyDataset, load_dataset, save_dataset
 from eigenwave.fileio import FieldFileError
 from eigenwave.helmholtz import Acquisition
 
@@ -73,4 +73,14 @@ def test_missing_count_line_rejected(saved):
     _, root = saved
     edit_manifest(root, lambda lines: [l for l in lines if not l.startswith("n_receivers")])
     with pytest.raises(FieldFileError, match="missing 'n_receivers"):
+        load_dataset(root)
+
+
+def test_mixed_source_depths_rejected(saved):
+    _, root = saved
+    path = root / ACQ_NAME
+    text = path.read_text(encoding="ascii")
+    assert "  30.0 20.0 " in text
+    path.write_text(text.replace("  30.0 20.0 ", "  30.0 25.0 "), encoding="ascii")
+    with pytest.raises(FieldFileError, match="single depth"):
         load_dataset(root)

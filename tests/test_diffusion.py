@@ -228,6 +228,12 @@ class TestAssembleDiffusion:
         w = np.linalg.eigvalsh(op.matrix.toarray())
         assert w.min() > 0.0
 
+    def test_face_weight_underflow_rejected(self):
+        # eta / h^2 = 1e-324 rounds to zero, so the stencil would lose entries
+        g = Grid2D(nx=5, nz=4, hx=100.0, hz=100.0)
+        with pytest.raises(DiffusionError, match="too small"):
+            assemble_diffusion(field(g, np.full(20, 1e-320)))
+
     def test_nonpositive_eta_rejected(self):
         g = Grid2D(nx=4, nz=4, hx=1.0, hz=1.0)
         vals = np.ones(16)

@@ -52,6 +52,21 @@ def test_bad_header(tmp_path):
         read_field(path)
 
 
+@pytest.mark.parametrize(
+    "header, payload, message",
+    [
+        (b"EWF1 2 3 10 10 0 0\n", np.zeros(6), "at least 3x3"),
+        (b"EWF1 3 3 10 10 0 0\n", np.r_[np.zeros(8), np.nan], "finite"),
+    ],
+    ids=["grid_too_small", "nan_payload"],
+)
+def test_header_or_payload_the_grid_rejects(tmp_path, header, payload, message):
+    path = tmp_path / "bad.ewf"
+    path.write_bytes(header + payload.astype("<f8").tobytes())
+    with pytest.raises(FieldFileError, match=message):
+        read_field(path)
+
+
 @given(seed=st.integers(0, 10_000), scale=st.sampled_from([1e-12, 1.0, 1e9]))
 @settings(max_examples=20, deadline=None)
 def test_round_trip_is_bit_exact(tmp_path_factory, seed, scale):

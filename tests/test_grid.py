@@ -9,6 +9,7 @@ from eigenwave.grid import (
     Model,
     ScalarField,
     clamp_model,
+    flux_stencil,
     relative_error,
     slowness_to_speed,
     speed_to_slowness,
@@ -52,6 +53,27 @@ class TestGrid2D:
         assert g.contains(140.0, 30.0)
         assert not g.contains(99.0, 0.0)
         assert not g.contains(100.0, 31.0)
+
+
+def test_interior_mask_excludes_every_edge():
+    mask = Grid2D(nx=5, nz=4, hx=1.0, hz=1.0).interior_mask().reshape(4, 5)
+    assert mask[1:-1, 1:-1].all() and mask.sum() == 3 * 2
+
+
+def test_flux_stencil_is_conservative_and_symmetric():
+    rng = np.random.default_rng(5)
+    g = Grid2D(nx=6, nz=5, hx=2.0, hz=3.0)
+    eta = field(g, rng.random(g.n_nodes) + 0.1)
+    e = eta.as_2d()
+    kx, kz = flux_stencil(eta)
+    for k in (kx, kz):
+        A = k.toarray()
+        assert np.max(np.abs(A - A.T)) == 0.0
+        np.testing.assert_allclose(A.sum(axis=1), 0.0, atol=1e-15)  # no flux leaves the grid
+    # an edge node's face flux uses the face mean of eta, as inside
+    assert kx[g.flatten(0, 2), g.flatten(1, 2)] == pytest.approx(-0.5 * (e[2, 0] + e[2, 1]) / 4.0, rel=1e-15)
+    assert kz[g.flatten(3, 0), g.flatten(3, 1)] == pytest.approx(-0.5 * (e[0, 3] + e[1, 3]) / 9.0, rel=1e-15)
+    assert kx[g.flatten(3, 0), g.flatten(3, 1)] == 0.0 and kz[g.flatten(0, 2), g.flatten(1, 2)] == 0.0
 
 
 class TestScalarField:

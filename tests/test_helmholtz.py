@@ -83,6 +83,25 @@ class TestAssembly:
         R = dense_reference(model, omega)
         np.testing.assert_allclose(A, R, rtol=0, atol=1e-18)
 
+    def test_cached_stencil_survives_operator_edits(self):
+        rng = np.random.default_rng(12)
+        g = Grid2D(nx=11, nz=11, hx=15.0, hz=25.0)
+        models = [
+            speed_to_slowness(ScalarField(g, 1500.0 + 2000.0 * rng.random(g.n_nodes)), 100.0, 9000.0)
+            for _ in range(2)
+        ]
+        omega = 2 * np.pi * 8.0
+        first = assemble(models[0], omega)
+        first.matrix.data[:] = 7.0
+        with pytest.raises(ValueError):
+            first.dirichlet_mask[0] = False
+        second = assemble(models[1], omega)
+        np.testing.assert_allclose(second.matrix.toarray(), dense_reference(models[1], omega), rtol=0, atol=1e-18)
+        again = assemble(models[0], omega)
+        np.testing.assert_array_equal(again.matrix.indptr, second.matrix.indptr)
+        np.testing.assert_array_equal(again.matrix.indices, second.matrix.indices)
+        np.testing.assert_allclose(again.matrix.toarray(), dense_reference(models[0], omega), rtol=0, atol=1e-18)
+
     def test_bottom_corner_uses_vertical_edge_condition(self):
         g = Grid2D(nx=5, nz=4, hx=10.0, hz=20.0)
         op = assemble(homogeneous_model(g), omega=10.0)
