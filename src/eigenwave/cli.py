@@ -54,13 +54,14 @@ class ConfigError(ValueError):
 
 def _config_values(reader):
     """Report a value from the config that the package rejects (GridError,
-    DiffusionError and a failed number parse are all ValueErrors) as a ConfigError."""
+    DiffusionError and a failed number parse are all ValueErrors) as a
+    ConfigError; a FieldFileError stays a fault of the file it names."""
 
     @functools.wraps(reader)
     def read(self, *args):
         try:
             return reader(self, *args)
-        except ConfigError:
+        except (ConfigError, FieldFileError):
             raise
         except ValueError as exc:
             raise ConfigError(f"{self.path}: {exc}") from exc
@@ -80,10 +81,7 @@ SCHEMA: dict[str, set[str]] = {
         "n_receivers", "receiver_depth", "receiver_x0", "receiver_x1",
     },
     "data": {"frequencies", "snr_db", "path"},
-    "inversion": {
-        "n_schedule", "n_iter", "nodal",
-        "armijo_c1", "shrink", "max_backtracks", "init_scale",
-    },
+    "inversion": {"n_schedule", "n_iter", "nodal"},
     "output": {"dir"},
 }
 
@@ -213,6 +211,23 @@ class RunConfig:
         return betas
 
     @_config_values
+    def frequencies(self) -> tuple[float, ...]:
+        freqs = self.get_floats("data", "frequencies")
+        if not all(0.0 < f < np.inf for f in freqs):
+            raise ValueError(f"[data] frequencies = {freqs}: each must be finite and positive")
+        return freqs
+
+    @_config_values
+    def snr_db(self) -> float | None:
+        """[data] snr_db, or None when the data stay clean."""
+        if not self.has("data", "snr_db"):
+            return None
+        snr = self.get_float("data", "snr_db")
+        if not np.isfinite(snr):
+            raise ValueError(f"[data] snr_db = {snr} must be finite")
+        return snr
+
+    @_config_values
     def acquisition(self) -> Acquisition:
         amp = complex(self.get_str("acquisition", "source_amplitude", "1"))
         n_src = self.get_int("acquisition", "n_sources")
@@ -273,11 +288,14 @@ class RunConfig:
             model = add_model_noise(model, noise, seed)
         return model
 
+    @_config_values
     def load_model(self, key: str = "path") -> Model:
         path = self.resolve(self.get_str("model", key))
         if not path.is_file():
             raise FileNotFoundError(f"model file not found: {path}")
         field = fileio.read_field(path)
+        if np.any(field.values <= 0.0):
+            raise FieldFileError(f"{path}: squared slowness must be strictly positive")
         c_min = self.get_float("model", "c_min", 1000.0)
         c_max = self.get_float("model", "c_max", 6000.0)
         return Model(field=field, c_min=c_min, c_max=c_max)
@@ -294,9 +312,10 @@ def _synthesize(cfg: RunConfig, model: Model, seed: int) -> tuple[FrequencyDatas
     """Data for `model` over the configured acquisition and frequencies, with
     noise seeded by seed + 1 when [data] snr_db is set, saved to
     <output dir>/dataset.  Returns the dataset and the output directory."""
-    ds = generate_data(model, cfg.acquisition(), cfg.get_floats("data", "frequencies"))
-    if cfg.has("data", "snr_db"):
-        ds = add_data_noise(ds, cfg.get_float("data", "snr_db"), seed + 1)
+    snr_db = cfg.snr_db()
+    ds = generate_data(model, cfg.acquisition(), cfg.frequencies())
+    if snr_db is not None:
+        ds = add_data_noise(ds, snr_db, seed + 1)
     out = fileio.ensure_dir(cfg.output_dir())
     save_dataset(out / "dataset", ds)
     return ds, out
@@ -372,15 +391,11 @@ def cmd_invert(cfg: RunConfig, seed: int, threads: int) -> int:
     nodal = cfg.get_bool("inversion", "nodal", False)
     try:
         config = InversionConfig(
-            frequencies=cfg.get_floats("data", "frequencies"),
+            frequencies=cfg.frequencies(),
             n_schedule=() if nodal else cfg.get_ints("inversion", "n_schedule"),
             n_iter=cfg.get_int("inversion", "n_iter", 30),
             spec=None if nodal else cfg.diffusion_spec(),
             nodal=nodal,
-            armijo_c1=cfg.get_float("inversion", "armijo_c1", 1e-4),
-            ls_shrink=cfg.get_float("inversion", "shrink", 0.5),
-            ls_max_backtracks=cfg.get_int("inversion", "max_backtracks", 20),
-            ls_init_scale=cfg.get_float("inversion", "init_scale", 0.05),
         )
     except GridError as exc:
         raise ConfigError(f"{cfg.path}: {exc}") from exc

@@ -21,8 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid2D, ScalarField, flux_stencil, same_grid
-from .helmholtz import PERMC_SPEC
+from .grid import PERMC_SPEC, Grid2D, ScalarField, flux_stencil, same_grid
 
 ETA_KINDS = (
     "eta1",  # Perona-Malik rational

@@ -19,11 +19,11 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fileio
 from .diffusion import (
+    DiffusionOperator,
     DiffusionSpec,
     assemble_diffusion,
     eval_eta,
@@ -31,7 +31,6 @@ from .diffusion import (
     lift_from_operator,
 )
 from .grid import Grid2D, GridError, ScalarField, same_grid
-from .helmholtz import PERMC_SPEC
 
 EIG_RTOL = 1e-8
 ORTHO_TOL = 1e-8
@@ -43,19 +42,14 @@ LANCZOS_SEED = 20260810
 
 
 class EigenSolveError(RuntimeError):
-    """The eigensolve failed: ARPACK did not converge, the operator could
-    not be factored, or a returned pair broke the residual or
-    orthonormality contract."""
+    """The eigensolve failed: ARPACK did not converge, or a returned pair
+    broke the residual or orthonormality contract."""
 
 
 def smallest_eigenpairs(
-    matrix: sp.spmatrix,
-    n: int,
-    rtol: float = EIG_RTOL,
-    seed: int = LANCZOS_SEED,
-    lu: spla.SuperLU | None = None,
+    op: DiffusionOperator, n: int, rtol: float = EIG_RTOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """N smallest eigenpairs of a sparse SPD matrix by shift-invert ARPACK.
+    """N smallest eigenpairs of op.matrix A (SPD) by shift-invert ARPACK.
 
     Returns eigenvalues ascending and an orthonormal (dim, n) eigenvector
     block, each pair satisfying ||A v - lam v|| <= rtol * ||A||_1.  That
@@ -65,29 +59,21 @@ def smallest_eigenpairs(
     within SIGN_TIE_RTOL of its largest: on a mirror-symmetric model the two
     largest entries of an antisymmetric vector tie, and picking the single
     largest would leave the sign to rounding.  The start vector is drawn
-    from `seed`, so the result is reproducible.  `lu` is an existing
-    factorization of `matrix` to use as the shift-invert operator; without
-    it the matrix is factored here.  ARPACK needs n < dim - 1, so larger n
-    take a dense eigensolve.
+    from LANCZOS_SEED, so the result is reproducible.  The shift-invert
+    operator is op's LU, which the lift shares.  ARPACK needs n < dim - 1,
+    so larger n take a dense eigensolve.
     """
-    A = sp.csc_matrix(matrix)
+    A = op.matrix
     dim = A.shape[0]
-    if A.shape[0] != A.shape[1]:
-        raise GridError(f"matrix must be square, got {A.shape}")
     if not 1 <= n <= dim:
         raise GridError(f"need 1 <= n <= {dim}, got n={n}")
 
     if n >= dim - 1:
         vals, vecs = sla.eigh(A.toarray(), subset_by_index=[0, n - 1])
     else:
-        if lu is None:
-            try:
-                lu = spla.splu(A, permc_spec=PERMC_SPEC)
-            except RuntimeError as exc:
-                raise EigenSolveError(f"factorization failed: {exc}") from exc
         # passing OPinv keeps eigsh from factoring A a second time
-        op_inv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
-        v0 = np.random.default_rng(seed).standard_normal(dim)
+        op_inv = spla.LinearOperator(A.shape, matvec=op.factor().solve, dtype=A.dtype)
+        v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
         # tol=0 is machine precision.  tol=1e-10 took 253 instead of 304
         # OPinv applications for N = 100 on the 161x81 salt model, but on the
         # 25x13 Laplacian it dropped one copy of a double eigenvalue (one of
@@ -184,7 +170,7 @@ def build_basis(m: ScalarField, spec: DiffusionSpec, n: int) -> EigenBasis:
     # heap space the LU frees on return is not pinned under a live array
     vecs = np.zeros((m.grid.n_nodes, n))
     m0 = lift_from_operator(op, m)
-    vals, vecs[op.interior_indices(), :] = smallest_eigenpairs(op.matrix, n, lu=op.factor())
+    vals, vecs[op.interior_indices(), :] = smallest_eigenpairs(op, n)
     return EigenBasis(
         spec=spec,
         source_model_hash=m.digest(),

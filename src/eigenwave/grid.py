@@ -18,6 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+# column ordering for every sparse LU (Helmholtz and diffusion): minimum
+# degree on A^T + A; see the helmholtz module docstring for the measurements
+PERMC_SPEC = "MMD_AT_PLUS_A"
+
 
 class GridError(ValueError):
     """Invalid grid geometry or mismatched grids."""

@@ -71,11 +71,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid2D, GridError, Model, ScalarField, flux_stencil
+from .grid import PERMC_SPEC, Grid2D, GridError, Model, ScalarField, flux_stencil
 
 RESIDUAL_RTOL = 1e-10
-# column ordering for every sparse LU: minimum degree on A^T + A
-PERMC_SPEC = "MMD_AT_PLUS_A"
 # right-hand-side columns per SuperLU solve call; see solve_array
 SLAB_COLUMNS = 8
 

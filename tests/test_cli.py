@@ -4,7 +4,7 @@ from eigenwave.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from eigenwave.dataset import MANIFEST_NAME, load_dataset
 from eigenwave.eigenbasis import load_basis
 from eigenwave.fileio import read_field, write_field
-from eigenwave.grid import Grid2D
+from eigenwave.grid import Grid2D, ScalarField
 from eigenwave.inversion import InversionHistory
 from eigenwave.synthetics import make_layered_model
 
@@ -263,6 +263,9 @@ BAD_VALUES = [
     ("synth", "c_max = 5000", "c_max = 5000\nnoise_percent = 150", "noise percent"),
     ("synth", "nx = 24", "nx = 2", "at least 3x3"),
     ("synth", "n_sources = 3", "n_sources = 3\nsource_amplitude = abc", "malformed"),
+    ("synth", "snr_db = 40", "snr_db = inf", "must be finite"),
+    ("synth", "frequencies = 4 5 6", "frequencies = -1 5", "finite and positive"),
+    ("invert", "frequencies = 4 5 6", "frequencies = 0 5", "finite and positive"),
 ]
 
 
@@ -285,4 +288,20 @@ def test_bad_value_is_config_error(synth_dir, capsys, command, line, bad, messag
     assert main([command, "--config", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {cfg}") and message in err
+    assert not (synth_dir / out).exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "dump-basis"])
+def test_nonpositive_model_file_is_io_error(synth_dir, capsys, command):
+    true = read_field(synth_dir / "synth" / "model_true.ewf")
+    values = true.values.copy()
+    values[40] = -values[40]
+    write_field(synth_dir / "negative.ewf", ScalarField(true.grid, values))
+    out = f"negative_{command}"
+    cfg = {"forward": forward_config, "dump-basis": basis_config}[command](synth_dir, out)
+    path = synth_dir / f"{out}.ini"
+    path.write_text(path.read_text().replace("path = synth/model_true.ewf", "path = negative.ewf"))
+    assert main([command, "--config", cfg]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "negative.ewf" in err and "strictly positive" in err
     assert not (synth_dir / out).exists()

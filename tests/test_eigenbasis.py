@@ -49,7 +49,7 @@ class TestSmallestEigenpairs:
     def test_closed_form_laplacian_spectrum(self):
         g = Grid2D(nx=25, nz=13, hx=5.0, hz=5.0)
         op = assemble_diffusion(field(g, np.ones(g.n_nodes)))
-        vals, vecs = smallest_eigenpairs(op.matrix, 12)
+        vals, vecs = smallest_eigenpairs(op, 12)
         exact = laplacian_spectrum(g)[:12]
         np.testing.assert_allclose(vals, exact, rtol=1e-10)
 
@@ -57,7 +57,7 @@ class TestSmallestEigenpairs:
         rng = np.random.default_rng(4)
         g = Grid2D(nx=10, nz=9, hx=1.0, hz=1.0)
         op = assemble_diffusion(field(g, rng.random(90) + 0.1))
-        vals, vecs = smallest_eigenpairs(op.matrix, 3)
+        vals, vecs = smallest_eigenpairs(op, 3)
         v1 = vecs[:, 0]
         assert v1 @ (op.matrix @ v1) == pytest.approx(vals[0], rel=1e-10)
 
@@ -65,7 +65,7 @@ class TestSmallestEigenpairs:
         rng = np.random.default_rng(5)
         g = Grid2D(nx=9, nz=9, hx=1.0, hz=1.0)
         op = assemble_diffusion(field(g, rng.random(81) + 0.1))
-        vals, vecs = smallest_eigenpairs(op.matrix, 5)
+        vals, vecs = smallest_eigenpairs(op, 5)
         dense_vals, dense_vecs = np.linalg.eigh(op.matrix.toarray())
         np.testing.assert_allclose(vals, dense_vals[:5], rtol=1e-10)
         # eigenvectors agree up to sign
@@ -77,7 +77,7 @@ class TestSmallestEigenpairs:
         rng = np.random.default_rng(6)
         g = Grid2D(nx=12, nz=10, hx=1.0, hz=2.0)
         op = assemble_diffusion(field(g, rng.random(120) + 0.05))
-        vals, vecs = smallest_eigenpairs(op.matrix, 8)
+        vals, vecs = smallest_eigenpairs(op, 8)
         assert np.all(np.diff(vals) >= 0)
         assert np.all(vals > 0)
         gram = vecs.T @ vecs
@@ -86,7 +86,7 @@ class TestSmallestEigenpairs:
     def test_full_dimension_allowed(self):
         g = Grid2D(nx=5, nz=5, hx=1.0, hz=1.0)
         op = assemble_diffusion(field(g, np.ones(25)))
-        vals, vecs = smallest_eigenpairs(op.matrix, 9)  # interior dim is 9
+        vals, vecs = smallest_eigenpairs(op, 9)  # interior dim is 9
         exact = laplacian_spectrum(g)
         np.testing.assert_allclose(vals, exact, rtol=1e-10)
 
@@ -94,7 +94,7 @@ class TestSmallestEigenpairs:
         # square grid with hx=hz has exact two-fold degeneracies
         g = Grid2D(nx=17, nz=17, hx=1.0, hz=1.0)
         op = assemble_diffusion(field(g, np.ones(g.n_nodes)))
-        vals, vecs = smallest_eigenpairs(op.matrix, 10)
+        vals, vecs = smallest_eigenpairs(op, 10)
         exact = laplacian_spectrum(g)[:10]
         assert np.any(np.isclose(np.diff(exact), 0.0, atol=1e-14))  # has multiplicity
         np.testing.assert_allclose(vals, exact, rtol=1e-10)
@@ -107,7 +107,7 @@ class TestSmallestEigenpairs:
         op = assemble_diffusion(field(g, rng.random(g.n_nodes) + 0.1))
         dim = op.matrix.shape[0]
         n = dim - below_dim
-        vals, vecs = smallest_eigenpairs(op.matrix, n)
+        vals, vecs = smallest_eigenpairs(op, n)
         assert vecs.shape == (dim, n)
         np.testing.assert_allclose(vals, np.linalg.eigvalsh(op.matrix.toarray())[:n], rtol=1e-10)
         assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) <= 1e-8
@@ -120,7 +120,7 @@ class TestSmallestEigenpairs:
         g = Grid2D(nx=7, nz=6, hx=1.0, hz=1.0)
         op = assemble_diffusion(field(g, np.linspace(1.0, 2.0, g.n_nodes)))
         with pytest.raises(EigenSolveError, match="residual"):
-            smallest_eigenpairs(op.matrix, n, rtol=1e-30)
+            smallest_eigenpairs(op, n, rtol=1e-30)
 
     def test_orthonormality_checked(self, monkeypatch):
         g = Grid2D(nx=7, nz=6, hx=1.0, hz=1.0)
@@ -134,7 +134,7 @@ class TestSmallestEigenpairs:
 
         monkeypatch.setattr(spla, "eigsh", repeated_pair)
         with pytest.raises(EigenSolveError, match="orthonormality"):
-            smallest_eigenpairs(op.matrix, 4)
+            smallest_eigenpairs(op, 4)
 
     @pytest.mark.parametrize("spec", [DiffusionSpec("eta3", 1e-5), DiffusionSpec("eta4", 1e-7)])
     def test_ill_conditioned_gives_smallest_pairs_or_raises(self, spec):
@@ -145,7 +145,7 @@ class TestSmallestEigenpairs:
         m = make_salt_model(salt, g).field
         op = assemble_diffusion(eval_eta(spec, gradient_norms(m)))
         try:
-            vals, _ = smallest_eigenpairs(op.matrix, 30)
+            vals, _ = smallest_eigenpairs(op, 30)
         except EigenSolveError:
             return
         dense = np.linalg.eigvalsh(op.matrix.toarray())[:30]
@@ -168,9 +168,9 @@ class TestSmallestEigenpairs:
         g = Grid2D(nx=5, nz=5, hx=1.0, hz=1.0)
         op = assemble_diffusion(field(g, np.ones(25)))
         with pytest.raises(GridError):
-            smallest_eigenpairs(op.matrix, 0)
+            smallest_eigenpairs(op, 0)
         with pytest.raises(GridError):
-            smallest_eigenpairs(op.matrix, 10)
+            smallest_eigenpairs(op, 10)
 
 
 @pytest.fixture(scope="module")
