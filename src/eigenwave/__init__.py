@@ -19,7 +19,7 @@ from .eigenbasis import (
     save_basis,
     smallest_eigenpairs,
 )
-from .fileio import read_field, write_field, write_field_csv, write_pgm
+from .fileio import read_field, write_field, write_pgm
 from .grid import (
     Grid2D,
     Model,
@@ -40,7 +40,6 @@ from .inversion import (
     InversionHistory,
     gradient_alpha,
     misfit,
-    misfit_and_gradient,
     run_inversion,
 )
 from .synthetics import (

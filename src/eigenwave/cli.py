@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .dataset import FrequencyDataset, load_dataset, save_dataset
 from .diffusion import BETA_FREE_KINDS, DiffusionError, DiffusionSpec, ETA_KINDS
 from .eigenbasis import EigenSolveError, build_basis, project, reconstruct, save_basis
 from .fileio import FieldFileError
-from .grid import Grid2D, GridError, Model, relative_error, speed_to_slowness
+from .grid import Grid2D, GridError, Model, relative_error
 from .helmholtz import Acquisition, SolveError
 from .inversion import InversionConfig, run_inversion
 from .synthetics import (
@@ -104,21 +104,28 @@ class RunConfig:
         for section in parser.sections():
             if section not in SCHEMA:
                 raise ConfigError(
-                    f"{self.path}:{self._line_of(text, f'[{section}]')}: "
+                    f"{self.path}:{self._line_of(text, section)}: "
                     f"unknown section [{section}]"
                 )
             for key in parser[section]:
                 if key not in SCHEMA[section]:
                     raise ConfigError(
-                        f"{self.path}:{self._line_of(text, key)}: "
+                        f"{self.path}:{self._line_of(text, section, key)}: "
                         f"unknown key {key!r} in [{section}]"
                     )
         self._parser = parser
 
     @staticmethod
-    def _line_of(text: str, needle: str) -> int:
+    def _line_of(text: str, section: str, key: str | None = None) -> int:
+        """Line number of [section], or of `key =` inside it; 0 if not found."""
+        current = None
         for i, line in enumerate(text.splitlines(), start=1):
-            if line.strip().lower().startswith(needle.lower()):
+            header = re.match(r"\s*\[(.+)\]", line)
+            if header:
+                current = header[1]
+                if key is None and current == section:
+                    return i
+            elif key and current == section and re.match(rf"\s*{re.escape(key)}\s*=", line, re.I):
                 return i
         return 0
 
@@ -321,7 +328,7 @@ def _synthesize(cfg: RunConfig, model: Model, seed: int) -> tuple[FrequencyDatas
     return ds, out
 
 
-def cmd_synth(cfg: RunConfig, seed: int, threads: int) -> int:
+def cmd_synth(cfg: RunConfig, seed: int) -> int:
     model = cfg.build_model(seed)
     ds, out = _synthesize(cfg, model, seed)
     fileio.write_field(out / "model_true.ewf", model.field)
@@ -330,13 +337,13 @@ def cmd_synth(cfg: RunConfig, seed: int, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_forward(cfg: RunConfig, seed: int, threads: int) -> int:
+def cmd_forward(cfg: RunConfig, seed: int) -> int:
     ds, out = _synthesize(cfg, cfg.load_model("path"), seed)
     print(f"forward: wrote {ds.n_frequencies}-frequency dataset to {out}")
     return EXIT_OK
 
 
-def cmd_decompose(cfg: RunConfig, seed: int, threads: int) -> int:
+def cmd_decompose(cfg: RunConfig, seed: int) -> int:
     model = cfg.load_model("path")
     kind = cfg.eta_kind()
     n_list = cfg.get_ints("spec", "n_list", (10, 20, 50))
@@ -355,11 +362,7 @@ def cmd_decompose(cfg: RunConfig, seed: int, threads: int) -> int:
             for n in n_list
         ], basis
 
-    if threads > 1 and len(betas) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(sweep, betas))
-    else:
-        results = [sweep(b) for b in betas]
+    results = [sweep(b) for b in betas]
 
     if all(r[0] is None for r in results):
         raise EigenSolveError(f"every beta in the sweep failed for {kind}")
@@ -387,7 +390,7 @@ def cmd_decompose(cfg: RunConfig, seed: int, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_invert(cfg: RunConfig, seed: int, threads: int) -> int:
+def cmd_invert(cfg: RunConfig, seed: int) -> int:
     nodal = cfg.get_bool("inversion", "nodal", False)
     try:
         config = InversionConfig(
@@ -417,7 +420,7 @@ def cmd_invert(cfg: RunConfig, seed: int, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_dump_basis(cfg: RunConfig, seed: int, threads: int) -> int:
+def cmd_dump_basis(cfg: RunConfig, seed: int) -> int:
     model = cfg.load_model("path")
     spec = cfg.diffusion_spec()
     n = max(cfg.get_ints("spec", "n_list", (50,)))
@@ -444,25 +447,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="eigenwave",
         description="Frequency-domain FWI with diffusion-eigenvector model compression.",
+        epilog=(
+            "Helmholtz solves use one lane per CPU in the affinity mask, and a "
+            "threaded BLAS competes with them: set OPENBLAS_NUM_THREADS=1 before "
+            "running.  At 321x161 a 64-column solve took 0.81 s with OpenBLAS on "
+            "2 threads against 0.56 s on 1."
+        ),
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="run configuration file")
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help=(
-            "threads for the beta sweep of decompose; no other command reads it. "
-            "Helmholtz solves always use one lane per CPU in the affinity mask, and "
-            "a threaded BLAS competes with them: a 64-column solve at 321x161 took "
-            "0.81 s with OpenBLAS on 2 threads against 0.56 s with "
-            "OPENBLAS_NUM_THREADS=1"
-        ),
-    )
     parser.add_argument("--seed", type=int, default=0, help="seed for noise generation")
     args = parser.parse_args(argv)
 
     try:
         cfg = RunConfig(args.config)
-        return COMMANDS[args.command](cfg, seed=args.seed, threads=max(1, args.threads))
+        return COMMANDS[args.command](cfg, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -145,6 +145,9 @@ def _read_manifest(
         key, sep, value = (t.strip() for t in line.partition("="))
         if not freq_line and not (sep and key in ("snr_db", *COUNT_KEYS)):
             raise fileio.FieldFileError(f"{path}: unrecognized line {line!r}")
+        if freq_line and (freq_line[2] == ".." or Path(freq_line[2]).name != freq_line[2]):
+            # a bare name only: the manifest must not reach outside its archive
+            raise fileio.FieldFileError(f"{path}: trace file {freq_line[2]!r} is not a bare file name")
         try:
             if freq_line:
                 frequencies.append(float(freq_line[1]))

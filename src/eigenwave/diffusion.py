@@ -62,50 +62,37 @@ class DiffusionSpec:
 
 @dataclass(frozen=True)
 class GradientNorms:
-    """Gradient magnitudes of a field, normalized by their grid maxima.
+    """Gradient magnitude of a field, normalized by its grid maximum.
 
-    ngrad1 = |grad m| / gamma1 and ngrad2 = |grad m|^2 / gamma2 with
-    gamma1 = max |grad m|, gamma2 = gamma1^2.  A constant field has
-    gamma = 0; both normalized fields are then identically zero and
-    `is_constant` is set.
+    ngrad1 = |grad m| / gamma1 with gamma1 = max |grad m|.  A constant
+    field has gamma1 = 0, and ngrad1 is then identically zero.
     """
 
     ngrad1: ScalarField
-    ngrad2: ScalarField
     gamma1: float
-    gamma2: float
-    is_constant: bool
 
     def raw_magnitude(self) -> np.ndarray:
         return self.ngrad1.values * self.gamma1
 
 
 def gradient_norms(m: ScalarField) -> GradientNorms:
-    """Normalized |grad m| and |grad m|^2, central differences inside,
-    one-sided on the boundary."""
+    """Normalized |grad m|, central differences inside, one-sided on the
+    boundary."""
     g = m.grid
     arr = m.as_2d()
     dz, dx = np.gradient(arr, g.hz, g.hx)
     mag = np.hypot(dx, dz).reshape(-1)
     gamma1 = float(mag.max())
     if gamma1 == 0.0:
-        zero = ScalarField(g, np.zeros(g.n_nodes))
-        return GradientNorms(zero, zero, 0.0, 0.0, True)
-    n1 = mag / gamma1
-    return GradientNorms(
-        ngrad1=ScalarField(g, n1),
-        ngrad2=ScalarField(g, n1 * n1),
-        gamma1=gamma1,
-        gamma2=gamma1 * gamma1,
-        is_constant=False,
-    )
+        return GradientNorms(ScalarField(g, np.zeros(g.n_nodes)), 0.0)
+    return GradientNorms(ngrad1=ScalarField(g, mag / gamma1), gamma1=gamma1)
 
 
 def eval_eta(spec: DiffusionSpec, norms: GradientNorms) -> ScalarField:
     """Pointwise coefficient field; strictly positive for every kind."""
     grid = norms.ngrad1.grid
     v1 = norms.ngrad1.values
-    v2 = norms.ngrad2.values
+    v2 = v1 * v1  # the normalized |grad m|^2
     b = spec.beta
     kind = spec.kind
 

@@ -82,19 +82,6 @@ def read_field(path: str | os.PathLike) -> ScalarField:
         raise FieldFileError(f"bad payload in {path}: {exc}") from exc
 
 
-def write_field_csv(path: str | os.PathLike, field: ScalarField) -> None:
-    """Export as x,z,value rows with 17 significant digits (lossless floats)."""
-    g = field.grid
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("x,z,value\n")
-        vals = field.values
-        for iz in range(g.nz):
-            z = g.node_z(iz)
-            base = iz * g.nx
-            for ix in range(g.nx):
-                fh.write(f"{g.node_x(ix):.17g},{z:.17g},{vals[base + ix]:.17g}\n")
-
-
 def write_pgm(path: str | os.PathLike, field: ScalarField) -> None:
     """8-bit binary PGM quick-look, linear min-max scaling."""
     img = field.as_2d()

@@ -63,12 +63,6 @@ class Grid2D:
     def flatten(self, ix, iz):
         return iz * self.nx + ix
 
-    def node_x(self, ix):
-        return self.x0 + ix * self.hx
-
-    def node_z(self, iz):
-        return self.z0 + iz * self.hz
-
     def contains(self, x: float, z: float) -> bool:
         return (
             self.x0 <= x <= self.x0 + self.extent_x

@@ -122,13 +122,16 @@ class Acquisition:
 
 @dataclass
 class HelmholtzOperator:
-    """Assembled sparse operator plus the data needed for its exact m-derivative."""
+    """Assembled sparse operator plus the data needed for its exact m-derivative.
+
+    The Dirichlet rows, the top row or under all_dirichlet every edge row,
+    are identity rows.
+    """
 
     grid: Grid2D
     omega: float
     matrix: sp.csc_matrix = field(repr=False)
     ddiag_dm: np.ndarray = field(repr=False)  # d(diagonal)/dm, zero on Dirichlet rows
-    dirichlet_mask: np.ndarray = field(repr=False)
     _lu: spla.SuperLU | None = field(default=None, repr=False)
 
     def factor(self) -> spla.SuperLU:
@@ -292,8 +295,8 @@ if hasattr(os, "register_at_fork"):  # POSIX; elsewhere nothing forks
 def _fixed_rows(grid: Grid2D, all_dirichlet: bool):
     """The model-independent part of assemble for one (grid, layout): the
     real stencil matrix, the position of each row's diagonal in its data,
-    the interior and Dirichlet row masks and (rows, h) per outgoing edge,
-    all read-only, since every operator on the grid shares them."""
+    the interior row mask and (rows, h) per outgoing edge, all read-only,
+    since every operator on the grid shares them."""
     n = grid.n_nodes
     interior = grid.interior_mask()
     ix, iz = np.tile(np.arange(grid.nx), grid.nz), np.repeat(np.arange(grid.nz), grid.nx)
@@ -307,9 +310,9 @@ def _fixed_rows(grid: Grid2D, all_dirichlet: bool):
 
     stencil = (rows(interior) @ (kx + kz) + rows(side) @ kx + rows(bottom) @ kz + rows(dirichlet)).tocsc()
     diagonal = np.flatnonzero(stencil.indices == np.repeat(np.arange(n), np.diff(stencil.indptr)))
-    for arr in (stencil.data, stencil.indices, stencil.indptr, diagonal, interior, dirichlet, side, bottom):
+    for arr in (stencil.data, stencil.indices, stencil.indptr, diagonal, interior, side, bottom):
         arr.setflags(write=False)
-    return stencil, diagonal, interior, dirichlet, ((side, grid.hx), (bottom, grid.hz))
+    return stencil, diagonal, interior, ((side, grid.hx), (bottom, grid.hz))
 
 
 def assemble(model: Model, omega: float, all_dirichlet: bool = False) -> HelmholtzOperator:
@@ -322,7 +325,7 @@ def assemble(model: Model, omega: float, all_dirichlet: bool = False) -> Helmhol
     if omega <= 0.0:
         raise GridError(f"omega must be positive, got {omega}")
     g, m = model.grid, model.m
-    stencil, diagonal, interior, dirichlet, outgoing = _fixed_rows(g, all_dirichlet)
+    stencil, diagonal, interior, outgoing = _fixed_rows(g, all_dirichlet)
     diag = np.zeros(g.n_nodes, dtype=np.complex128)
     ddiag = np.zeros(g.n_nodes, dtype=np.complex128)
     diag[interior] = -(omega ** 2) * m[interior]
@@ -335,7 +338,7 @@ def assemble(model: Model, omega: float, all_dirichlet: bool = False) -> Helmhol
     data = stencil.data.astype(np.complex128)
     data[diagonal] += diag
     matrix = sp.csc_matrix((data, stencil.indices, stencil.indptr), shape=stencil.shape)
-    return HelmholtzOperator(grid=g, omega=omega, matrix=matrix, ddiag_dm=ddiag, dirichlet_mask=dirichlet)
+    return HelmholtzOperator(grid=g, omega=omega, matrix=matrix, ddiag_dm=ddiag)
 
 
 def nearest_node(grid: Grid2D, x: float, z: float) -> tuple[int, int]:

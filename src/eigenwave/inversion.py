@@ -166,12 +166,6 @@ class InversionHistory:
 # misfit and gradient
 
 
-def _frequency_indices(dataset: FrequencyDataset, frequencies) -> list[int]:
-    if frequencies is None:
-        return list(range(dataset.n_frequencies))
-    return [dataset.frequency_index(f) for f in np.atleast_1d(frequencies)]
-
-
 @dataclass(frozen=True)
 class _Forward:
     """One simulated (model, frequency): operator with its LU, wavefields, residual."""
@@ -230,26 +224,11 @@ class MisfitEvaluator:
         return -np.real(entry.op.ddiag_dm * np.sum(np.conj(q) * entry.u, axis=1))
 
 
-def misfit(model: Model, dataset: FrequencyDataset, frequencies=None) -> float:
-    """J = 1/2 sum over frequencies and sources of ||F(m) - d||^2."""
+def misfit(model: Model, dataset: FrequencyDataset) -> float:
+    """J = 1/2 sum over all the dataset's frequencies and sources of
+    ||F(m) - d||^2.  MisfitEvaluator gives J and dJ/dm per frequency."""
     ev = MisfitEvaluator(dataset, model.grid)
-    value = 0.0
-    for i in _frequency_indices(dataset, frequencies):
-        value += ev.value(model, i)
-    return value
-
-
-def misfit_and_gradient(
-    model: Model, dataset: FrequencyDataset, frequencies=None
-) -> tuple[float, ScalarField]:
-    """The misfit J and its derivative with respect to nodal squared slowness."""
-    ev = MisfitEvaluator(dataset, model.grid)
-    value = 0.0
-    grad = np.zeros(model.grid.n_nodes)
-    for i in _frequency_indices(dataset, frequencies):
-        value += ev.value(model, i)
-        grad += ev.gradient(model, i)
-    return value, ScalarField(model.grid, grad)
+    return sum((ev.value(model, i) for i in range(dataset.n_frequencies)), 0.0)
 
 
 def gradient_alpha(g_nodal: ScalarField, basis: EigenBasis, n_active: int) -> np.ndarray:

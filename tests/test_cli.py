@@ -219,13 +219,21 @@ def test_decompose_writes_report_and_reconstructions(synth_dir):
         assert recon.grid == Grid2D(nx=24, nz=12, hx=50.0, hz=50.0)
 
 
-def test_decompose_threads_do_not_change_report(synth_dir):
-    reports = []
-    for threads in ("1", "2"):
-        cfg = basis_config(synth_dir, f"dec_t{threads}")
-        assert main(["decompose", "--config", cfg, "--threads", threads]) == EXIT_OK
-        reports.append((synth_dir / f"dec_t{threads}" / "decomposition_report.csv").read_bytes())
-    assert reports[0] == reports[1]
+def test_threads_flag_is_gone(synth_dir, capsys):
+    cfg = basis_config(synth_dir, "dec_threads")
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--config", cfg, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (synth_dir / "dec_threads").exists()
+
+
+def test_help_gives_blas_advice(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "OPENBLAS_NUM_THREADS=1" in out and "--threads" not in out
 
 
 def test_dump_basis_round_trip(synth_dir):
@@ -305,3 +313,22 @@ def test_nonpositive_model_file_is_io_error(synth_dir, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and "negative.ewf" in err and "strictly positive" in err
     assert not (synth_dir / out).exists()
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        # 'n' starts the [grid] key 'nx' and a comment, but only line 8 holds it
+        ("[grid]\nnx = 24\nnz = 12\n\n[spec]\n# n = 4\neta = eta1\nn = 5\n",
+         "8: unknown key 'n' in [spec]"),
+        # the same key is valid in an earlier section
+        ("[grid]\nnx = 24\n[data]\nfrequencies = 4\nNX = 3\n", "5: unknown key 'nx' in [data]"),
+        ("[grid]\nnx = 24\n\n[grids]\nnx = 3\n", "4: unknown section [grids]"),
+    ],
+    ids=["key-sharing-a-prefix", "key-valid-in-another-section", "unknown-section"],
+)
+def test_schema_error_names_its_line(tmp_path, capsys, text, where):
+    path = tmp_path / "c.ini"
+    path.write_text(text, encoding="utf-8")
+    assert main(["synth", "--config", str(path)]) == EXIT_CONFIG
+    assert f"config error: {path}:{where}\n" in capsys.readouterr().err

@@ -84,3 +84,14 @@ def test_mixed_source_depths_rejected(saved):
     path.write_text(text.replace("  30.0 20.0 ", "  30.0 25.0 "), encoding="ascii")
     with pytest.raises(FieldFileError, match="single depth"):
         load_dataset(root)
+
+
+@pytest.mark.parametrize("name", ["absolute", "../outside.dat", ".."])
+def test_trace_file_outside_archive_rejected(saved, name):
+    _, root = saved
+    outside = root.parent / "outside.dat"
+    outside.write_bytes((root / "traces_0002.dat").read_bytes())  # a well-sized payload
+    name = str(outside) if name == "absolute" else name
+    edit_manifest(root, lambda lines: [l.replace("traces_0002.dat", name) for l in lines])
+    with pytest.raises(FieldFileError, match="not a bare file name"):
+        load_dataset(root)

@@ -47,10 +47,8 @@ class TestGradientNorms:
     def test_constant_field_flag(self):
         g = Grid2D(nx=5, nz=4, hx=1.0, hz=1.0)
         norms = gradient_norms(field(g, np.full(20, 3.0)))
-        assert norms.is_constant
-        assert norms.gamma1 == 0.0 and norms.gamma2 == 0.0
+        assert norms.gamma1 == 0.0
         assert np.all(norms.ngrad1.values == 0.0)
-        assert np.all(norms.ngrad2.values == 0.0)
 
     def test_linear_in_x_normalizes_to_one(self):
         g = Grid2D(nx=6, nz=5, hx=2.0, hz=3.0)
@@ -66,29 +64,21 @@ class TestGradientNorms:
         norms = gradient_norms(f)
         mag = brute_force_gradient(f)
         np.testing.assert_allclose(norms.ngrad1.values, mag / mag.max(), rtol=1e-12)
-        np.testing.assert_allclose(norms.ngrad2.values, (mag / mag.max()) ** 2, rtol=1e-12)
-        # the normalized square peaks at exactly 1 at the argmax
+        # the normalized magnitude peaks at exactly 1 at the argmax
         i = int(np.argmax(mag))
-        assert norms.ngrad2.values[i] == pytest.approx(1.0)
-        assert norms.ngrad2.values.max() == pytest.approx(1.0)
+        assert norms.ngrad1.values[i] == pytest.approx(1.0)
+        assert norms.ngrad1.values.max() == pytest.approx(1.0)
 
     def test_bounds(self):
         rng = np.random.default_rng(18)
         g = Grid2D(nx=7, nz=7, hx=1.0, hz=1.0)
         norms = gradient_norms(field(g, rng.standard_normal(49)))
-        for arr in (norms.ngrad1.values, norms.ngrad2.values):
-            assert np.all(arr >= 0.0) and np.all(arr <= 1.0)
+        arr = norms.ngrad1.values
+        assert np.all(arr >= 0.0) and np.all(arr <= 1.0)
 
 
 def make_norms(grid, v1):
-    v1 = np.asarray(v1, dtype=float)
-    return GradientNorms(
-        ngrad1=ScalarField(grid, v1),
-        ngrad2=ScalarField(grid, v1 * v1),
-        gamma1=1.0,
-        gamma2=1.0,
-        is_constant=False,
-    )
+    return GradientNorms(ngrad1=ScalarField(grid, np.asarray(v1, dtype=float)), gamma1=1.0)
 
 
 class TestEvalEta:
@@ -110,7 +100,7 @@ class TestEvalEta:
     def test_eta3_at_matching_beta(self):
         g = Grid2D(nx=4, nz=3, hx=1.0, hz=1.0)
         beta = 0.37
-        v1 = np.full(12, np.sqrt(beta))  # ngrad2 == beta
+        v1 = np.full(12, np.sqrt(beta))  # ngrad1 squared == beta
         out = eval_eta(DiffusionSpec("eta3", beta), make_norms(g, v1))
         np.testing.assert_allclose(out.values, 1.0 / (2.0 * beta), rtol=1e-13)
 

@@ -10,7 +10,6 @@ from eigenwave.fileio import (
     FieldFileError,
     read_field,
     write_field,
-    write_field_csv,
     write_pgm,
 )
 from eigenwave.grid import Grid2D, ScalarField
@@ -79,22 +78,6 @@ def test_round_trip_is_bit_exact(tmp_path_factory, seed, scale):
     back = read_field(path)
     assert back.grid == g
     assert back.values.tobytes() == f.values.tobytes()
-
-
-def test_csv_export_is_lossless(tmp_path):
-    rng = np.random.default_rng(5)
-    g = Grid2D(nx=4, nz=3, hx=2.5, hz=1.5, x0=10.0)
-    f = ScalarField(g, rng.standard_normal(12))
-    path = tmp_path / "f.csv"
-    write_field_csv(path, f)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,z,value"
-    assert len(lines) == 13
-    # 17 significant digits round-trip float64 exactly
-    row = lines[1 + 2 * 4 + 3].split(",")  # node (ix=3, iz=2)
-    assert float(row[0]) == g.node_x(3)
-    assert float(row[1]) == g.node_z(2)
-    assert float(row[2]) == f.values[2 * 4 + 3]
 
 
 def test_pgm_quicklook(tmp_path):

@@ -71,7 +71,6 @@ class TestAssembly:
             assert row[i] == 1.0
             row[i] = 0.0
             assert np.all(row == 0.0)
-            assert op.dirichlet_mask[i]
 
     def test_matches_dense_reference_11x11(self):
         rng = np.random.default_rng(11)
@@ -93,8 +92,6 @@ class TestAssembly:
         omega = 2 * np.pi * 8.0
         first = assemble(models[0], omega)
         first.matrix.data[:] = 7.0
-        with pytest.raises(ValueError):
-            first.dirichlet_mask[0] = False
         second = assemble(models[1], omega)
         np.testing.assert_allclose(second.matrix.toarray(), dense_reference(models[1], omega), rtol=0, atol=1e-18)
         again = assemble(models[0], omega)
@@ -433,7 +430,7 @@ class TestPhysics:
             u_star = np.sin(np.pi * xg / L) * np.sin(np.pi * zg / L)
             f = ((2.0 * np.pi**2 / L**2 - omega**2 * m_val) * u_star).reshape(-1)
             rhs = f.astype(complex)
-            rhs[op.dirichlet_mask] = 0.0
+            rhs[~g.interior_mask()] = 0.0
             u = op.solve_array(rhs)
             return float(np.max(np.abs(u.real - u_star.reshape(-1))))
 
