@@ -1,14 +1,14 @@
 """Model compression in the eigenvector basis of a diffusion operator.
 
 A field m is represented as a boundary lift m0 plus a combination of the
-eigenvectors belonging to the N smallest eigenvalues of -div(eta grad)
-with homogeneous Dirichlet conditions.  build_basis factorizes the SPD
-matrix once; that LU gives the boundary lift, and it is the shift-invert
-operator for ARPACK's implicitly restarted Lanczos (scipy's eigsh with
-sigma = 0: the smallest eigenvalues of A are the largest of A^-1).  Every
-returned pair is checked against the residual and orthonormality
-contracts after ARPACK returns.  Reference: Lehoucq, Sorensen & Yang,
-ARPACK Users' Guide (SIAM 1998).
+orthonormal eigenvectors Psi belonging to the N smallest eigenvalues of
+-div(eta grad) with homogeneous Dirichlet conditions; the coefficients are
+Psi^T (m - m0).  build_basis factorizes the SPD matrix once; that LU gives
+the boundary lift, and it is the shift-invert operator for ARPACK's
+implicitly restarted Lanczos (scipy's eigsh with sigma = 0: the smallest
+eigenvalues of A are the largest of A^-1).  Every returned pair is checked
+against the residual and orthonormality contracts after ARPACK returns.
+Reference: Lehoucq, Sorensen & Yang, ARPACK Users' Guide (SIAM 1998).
 """
 
 from __future__ import annotations
@@ -99,10 +99,15 @@ def smallest_eigenpairs(
             f"{bad.size}/{n} pairs break the residual contract: pair {j} "
             f"(lambda {vals[j]:.6e}) has residual {resid[j] / a_norm:.3e} * ||A||_1 > {rtol:.1e}"
         )
-    gram = np.max(np.abs(vecs.T @ vecs - np.eye(n)))
+    gram = _gram_defect(vecs)
     if gram > ORTHO_TOL:
         raise EigenSolveError(f"orthonormality lost: max Gram defect {gram:.3e}")
     return vals, vecs
+
+
+def _gram_defect(vecs: np.ndarray) -> float:
+    """max |V^T V - I|: how far the columns of V are from orthonormal."""
+    return float(np.max(np.abs(vecs.T @ vecs - np.eye(vecs.shape[1])), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -110,8 +115,10 @@ class EigenBasis:
     """Lift m0 plus eigenvectors of the diffusion operator built from one model.
 
     Eigenvectors are stored as full nodal columns (zero on every boundary
-    node), unit Euclidean norm, sign fixed so the first entry within
-    SIGN_TIE_RTOL of the largest magnitude is positive.
+    node), sign fixed so the first entry within SIGN_TIE_RTOL of the largest
+    magnitude is positive.  The columns are orthonormal to ORTHO_TOL in Gram
+    defect, which project relies on: smallest_eigenpairs enforces it for
+    built bases and load_basis for archives.
     """
 
     spec: DiffusionSpec
@@ -181,19 +188,18 @@ def build_basis(m: ScalarField, spec: DiffusionSpec, n: int) -> EigenBasis:
 
 
 def project(m: ScalarField, basis: EigenBasis, n_active: int | None = None) -> DecomposedModel:
-    """Least-squares fit of m - m0 in the leading n_active eigenvectors."""
+    """Orthogonal projection of m - m0 onto the leading n_active eigenvectors.
+
+    The eigenvectors are orthonormal, so alpha = Psi^T (m - m0) is also the
+    least-squares fit.
+    """
     same_grid(m.grid, basis.grid)
     if n_active is None:
         n_active = basis.n_vectors
     if not 0 <= n_active <= basis.n_vectors:
         raise GridError(f"n_active {n_active} exceeds basis size {basis.n_vectors}")
     alpha = np.zeros(basis.n_vectors)
-    if n_active:
-        psi = basis.eigenvectors[:, :n_active]
-        coef, _, rank, _ = np.linalg.lstsq(psi, m.values - basis.m0.values, rcond=None)
-        if rank < n_active:
-            raise GridError(f"rank-deficient eigenvector block: rank {rank} < {n_active}")
-        alpha[:n_active] = coef
+    alpha[:n_active] = basis.eigenvectors[:, :n_active].T @ (m.values - basis.m0.values)
     return DecomposedModel(basis=basis, alpha=alpha, n_active=n_active)
 
 
@@ -240,9 +246,9 @@ def load_basis(directory: str | os.PathLike) -> EigenBasis:
     """Read an archive written by save_basis.
 
     A missing or malformed manifest line, a manifest grid that disagrees
-    with m0.ewf, or an eigenvectors.f64 payload whose size is not
-    n_nodes * n * 8 bytes for the manifest's grid and n raises
-    FieldFileError.
+    with m0.ewf, an eigenvectors.f64 payload whose size is not
+    n_nodes * n * 8 bytes for the manifest's grid and n, or a payload whose
+    columns are not orthonormal to ORTHO_TOL raises FieldFileError.
     """
     root = Path(directory)
     manifest = root / MANIFEST_NAME
@@ -289,6 +295,12 @@ def load_basis(directory: str | os.PathLike) -> EigenBasis:
             f"{grid.n_nodes} nodes need {expected}"
         )
     vecs = np.frombuffer(payload, dtype="<f8").reshape(grid.n_nodes, n)
+    gram = _gram_defect(vecs)
+    if not gram <= ORTHO_TOL:
+        raise fileio.FieldFileError(
+            f"{root / PAYLOAD_NAME}: eigenvectors are not orthonormal: "
+            f"max Gram defect {gram:.3e} > {ORTHO_TOL:.1e}"
+        )
     return EigenBasis(
         spec=spec,
         source_model_hash=fields["source_model_hash"],

@@ -265,6 +265,29 @@ class TestBasis:
         with pytest.raises(GridError):
             project(m, basis, basis.n_vectors + 1)
 
+    @pytest.mark.parametrize("n_active", [0, 1, 5, None])
+    def test_project_matches_least_squares(self, salt_basis, n_active):
+        m, basis = salt_basis
+        alpha = project(m, basis, n_active).alpha
+        n_active = basis.n_vectors if n_active is None else n_active
+        psi = basis.eigenvectors[:, :n_active]
+        expected = np.linalg.lstsq(psi, m.values - basis.m0.values, rcond=None)[0]
+        assert np.linalg.norm(alpha[:n_active] - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.all(alpha[n_active:] == 0.0)
+
+    def test_project_solves_no_least_squares_problem(self, salt_basis, monkeypatch):
+        m, basis = salt_basis
+        solved = []
+        lstsq = np.linalg.lstsq
+
+        def counting_lstsq(*args, **kwargs):
+            solved.append(args[0].shape)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        project(m, basis)
+        assert solved == []
+
     def test_one_factorization_per_build(self, salt_basis, monkeypatch):
         m, basis = salt_basis
         factored = []
@@ -440,6 +463,15 @@ class TestLoadBasisChecks:
         payload = (bad / PAYLOAD_NAME).read_bytes()
         (bad / PAYLOAD_NAME).write_bytes(payload[:-8])
         with pytest.raises(FieldFileError, match="eigenvectors"):
+            load_basis(bad)
+
+    def test_payload_must_be_orthonormal(self, archive, tmp_path):
+        bad = edited_copy(archive, tmp_path / "b", lambda lines: lines)
+        vecs = np.fromfile(bad / PAYLOAD_NAME, dtype="<f8").reshape(-1, 4)
+        vecs[:, 2] *= 1.5
+        (bad / PAYLOAD_NAME).write_bytes(vecs.astype("<f8").tobytes())
+        # column 2 now has squared norm 2.25: a Gram defect of 1.25
+        with pytest.raises(FieldFileError, match="not orthonormal: max Gram defect 1.250e"):
             load_basis(bad)
 
     def test_unedited_copy_loads(self, archive, tmp_path):
