@@ -218,6 +218,14 @@ class RunConfig:
         return betas
 
     @_config_values
+    def n_list(self, default: tuple[int, ...]) -> tuple[int, ...]:
+        """[spec] n_list: the basis sizes, each at least 1."""
+        n_list = self.get_ints("spec", "n_list", default)
+        if min(n_list) < 1:
+            raise ValueError(f"[spec] n_list = {n_list}: each N must be at least 1")
+        return n_list
+
+    @_config_values
     def frequencies(self) -> tuple[float, ...]:
         freqs = self.get_floats("data", "frequencies")
         if not all(0.0 < f < np.inf for f in freqs):
@@ -346,16 +354,17 @@ def cmd_forward(cfg: RunConfig, seed: int) -> int:
 def cmd_decompose(cfg: RunConfig, seed: int) -> int:
     model = cfg.load_model("path")
     kind = cfg.eta_kind()
-    n_list = cfg.get_ints("spec", "n_list", (10, 20, 50))
+    n_list = cfg.n_list((10, 20, 50))
     betas = cfg.beta_list(kind)
     n_max = max(n_list)
 
     def sweep(beta: float):
-        # extreme scalings can defeat the eigensolver's residual contract;
-        # such beta values drop out of the sweep instead of killing it
+        # an extreme scaling can make the diffusion LU singular or defeat the
+        # eigensolver's residual contract; such a beta drops out of the sweep
+        # instead of killing it
         try:
             basis = build_basis(model.field, DiffusionSpec(kind=kind, beta=beta), n_max)
-        except EigenSolveError:
+        except (DiffusionError, EigenSolveError):
             return None, None
         return [
             relative_error(model.field, reconstruct(project(model.field, basis, n)))
@@ -423,7 +432,7 @@ def cmd_invert(cfg: RunConfig, seed: int) -> int:
 def cmd_dump_basis(cfg: RunConfig, seed: int) -> int:
     model = cfg.load_model("path")
     spec = cfg.diffusion_spec()
-    n = max(cfg.get_ints("spec", "n_list", (50,)))
+    n = max(cfg.n_list((50,)))
     basis = build_basis(model.field, spec, n)
     out = fileio.ensure_dir(cfg.output_dir())
     save_basis(out / "basis", basis)

@@ -1,13 +1,17 @@
 """Frequency-domain receiver data for a set of sources, plus archive I/O.
 
-Trace files store complex128 samples, i.e. little-endian interleaved
-real/imag float64 pairs, receivers fastest then sources.
+A dataset archive (see fileio.new_archive) holds manifest.txt and
+traces.c16.  The manifest has `snr_db = ` (`none` for clean data) and
+three lists: frequencies in Hz, sources as `x z re im` (position and
+complex amplitude) and receivers as `x z`.  traces.c16 is the
+(n_freq, n_src, n_rec) complex128 block in C order, stored as
+little-endian interleaved real/imag float64 pairs: receivers fastest,
+then sources, then frequencies.
 """
 
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,119 +53,49 @@ class FrequencyDataset:
         raise GridError(f"frequency {freq_hz} Hz not in dataset {self.frequencies}")
 
 
-MANIFEST_NAME = "dataset_manifest.txt"
-ACQ_NAME = "acquisition.txt"
-COUNT_KEYS = ("n_frequencies", "n_sources", "n_receivers")
-_FREQUENCY_LINE = re.compile(r"frequency\s*=\s*(\S+)\s+file\s*=\s*(\S+)")
+TRACES_NAME = "traces.c16"
 
 
 def save_dataset(directory: str | os.PathLike, ds: FrequencyDataset) -> Path:
-    """Write acquisition.txt, one traces_*.dat per frequency, then the manifest.
-
-    Each file goes to a temporary sibling that then replaces it.
-    """
-    out = fileio.ensure_dir(directory)
+    """Write ds as the archive `directory`, replacing the one there."""
     acq = ds.acquisition
-    lines = [f"sources = {acq.n_sources}"]
-    lines += [f"  {x!r} {z!r} {a.real!r} {a.imag!r}" for x, z, a in acq.sources]
-    lines.append(f"receivers = {acq.n_receivers}")
-    lines += [f"  {x!r} {z!r}" for x, z in acq.receivers]
-    fileio.write_atomic(out / ACQ_NAME, ("\n".join(lines) + "\n").encode("ascii"))
-
-    man = [
-        f"n_frequencies = {ds.n_frequencies}",
-        f"n_sources = {acq.n_sources}",
-        f"n_receivers = {acq.n_receivers}",
-        f"snr_db = {'none' if ds.snr_db is None else repr(ds.snr_db)}",
-    ]
-    for i, f in enumerate(ds.frequencies):
-        name = f"traces_{i + 1:04d}.dat"
-        man.append(f"frequency = {f!r} file = {name}")
-        fileio.write_atomic(out / name, ds.data[i].astype("<c16").tobytes())
-    fileio.write_atomic(out / MANIFEST_NAME, ("\n".join(man) + "\n").encode("ascii"))
-    return out
+    with fileio.new_archive(directory) as tmp:
+        fileio.write_payload(tmp / TRACES_NAME, ds.data, "<c16")
+        fileio.write_manifest(
+            tmp,
+            {"snr_db": "none" if ds.snr_db is None else repr(ds.snr_db)},
+            {
+                "frequencies": [repr(f) for f in ds.frequencies],
+                "sources": [f"{x!r} {z!r} {a.real!r} {a.imag!r}" for x, z, a in acq.sources],
+                "receivers": [f"{x!r} {z!r}" for x, z in acq.receivers],
+            },
+        )
+    return Path(directory)
 
 
 def load_dataset(directory: str | os.PathLike) -> FrequencyDataset:
+    """Read an archive written by save_dataset.
+
+    Raises FieldFileError for a manifest line that is not `snr_db =` or
+    part of the three lists, a missing `snr_db =` line or list, a value that
+    is not a number, a source entry without 4 numbers or a receiver entry
+    without 2, sources or receivers that Acquisition rejects, and a
+    traces.c16 whose size is not 16 bytes per (frequency, source, receiver)
+    that the lists give, which is how a dropped list entry shows.
+    """
     root = Path(directory)
-    acq_lines = (root / ACQ_NAME).read_text(encoding="ascii").splitlines()
-    pos = 0
-
-    def read_count(tag: str) -> int:
-        nonlocal pos
-        key, _, value = acq_lines[pos].partition("=")
-        if key.strip() != tag:
-            raise fileio.FieldFileError(f"expected '{tag} =' line, got {acq_lines[pos]!r}")
-        pos += 1
-        return int(value)
-
+    man = fileio.read_manifest(root, ("snr_db",), ("frequencies", "sources", "receivers"))
     try:
-        n_src = read_count("sources")
-        sources = []
-        for _ in range(n_src):
-            x, z, re_a, im_a = (float(t) for t in acq_lines[pos].split())
-            sources.append((x, z, complex(re_a, im_a)))
-            pos += 1
-        n_rec = read_count("receivers")
-        receivers = []
-        for _ in range(n_rec):
-            x, z = (float(t) for t in acq_lines[pos].split())
-            receivers.append((x, z))
-            pos += 1
-    except (IndexError, ValueError) as exc:
-        raise fileio.FieldFileError(f"{root / ACQ_NAME}: malformed near line {pos + 1}") from exc
-    try:
-        acq = Acquisition(sources=tuple(sources), receivers=tuple(receivers))
-    except GridError as exc:
-        raise fileio.FieldFileError(f"{root / ACQ_NAME}: {exc}") from exc
-
-    frequencies, files, snr_db = _read_manifest(root / MANIFEST_NAME, n_src, n_rec)
-    data = np.empty((len(frequencies), n_src, n_rec), dtype=np.complex128)
-    for i, name in enumerate(files):
-        raw = np.frombuffer((root / name).read_bytes(), dtype="<c16")
-        if raw.size != n_src * n_rec:
-            raise fileio.FieldFileError(
-                f"trace file {name}: expected {n_src * n_rec} samples, found {raw.size}"
-            )
-        data[i] = raw.reshape(n_src, n_rec)
-    return FrequencyDataset(
-        acquisition=acq, frequencies=tuple(frequencies), data=data, snr_db=snr_db
-    )
-
-
-def _read_manifest(
-    path: Path, n_src: int, n_rec: int
-) -> tuple[list[float], list[str], float | None]:
-    """Frequencies, trace file names and SNR, checked against the counts."""
-    frequencies: list[float] = []
-    files: list[str] = []
-    snr_db: float | None = None
-    counts: dict[str, int] = {}
-    for line in path.read_text(encoding="ascii").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        freq_line = _FREQUENCY_LINE.fullmatch(line)
-        key, sep, value = (t.strip() for t in line.partition("="))
-        if not freq_line and not (sep and key in ("snr_db", *COUNT_KEYS)):
-            raise fileio.FieldFileError(f"{path}: unrecognized line {line!r}")
-        if freq_line and (freq_line[2] == ".." or Path(freq_line[2]).name != freq_line[2]):
-            # a bare name only: the manifest must not reach outside its archive
-            raise fileio.FieldFileError(f"{path}: trace file {freq_line[2]!r} is not a bare file name")
-        try:
-            if freq_line:
-                frequencies.append(float(freq_line[1]))
-                files.append(freq_line[2])
-            elif key == "snr_db":
-                snr_db = None if value == "none" else float(value)
-            else:
-                counts[key] = int(value)
-        except ValueError as exc:
-            raise fileio.FieldFileError(f"{path}: bad value in line {line!r}") from exc
-    found = dict(zip(COUNT_KEYS, (len(frequencies), n_src, n_rec)))
-    for key, n in found.items():
-        if key not in counts:
-            raise fileio.FieldFileError(f"{path}: missing '{key} =' line")
-        if counts[key] != n:
-            raise fileio.FieldFileError(f"{path}: {key} = {counts[key]}, but found {n}")
-    return frequencies, files, snr_db
+        snr_db = None if man["snr_db"] == "none" else float(man["snr_db"])
+        frequencies = tuple(float(f) for f in man["frequencies"])
+        sources = [[float(t) for t in entry.split()] for entry in man["sources"]]
+        receivers = [[float(t) for t in entry.split()] for entry in man["receivers"]]
+        acq = Acquisition(
+            sources=tuple((x, z, complex(re_a, im_a)) for x, z, re_a, im_a in sources),
+            receivers=tuple((x, z) for x, z in receivers),
+        )
+    except ValueError as exc:  # GridError included
+        raise fileio.FieldFileError(f"{root / fileio.MANIFEST_NAME}: malformed: {exc}") from exc
+    shape = (len(frequencies), acq.n_sources, acq.n_receivers)
+    data = fileio.read_payload(root / TRACES_NAME, "<c16", shape)
+    return FrequencyDataset(acquisition=acq, frequencies=frequencies, data=data, snr_db=snr_db)

@@ -173,6 +173,8 @@ def build_basis(m: ScalarField, spec: DiffusionSpec, n: int) -> EigenBasis:
     norms = gradient_norms(m)
     eta = eval_eta(spec, norms)
     op = assemble_diffusion(eta)
+    if not 1 <= n <= op.matrix.shape[0]:  # before np.zeros: a huge n raises MemoryError there
+        raise GridError(f"need 1 <= n <= {op.matrix.shape[0]}, got n={n}")
     # allocated before the LU that the lift and the eigensolve share, so the
     # heap space the LU frees on return is not pinned under a live array
     vecs = np.zeros((m.grid.n_nodes, n))
@@ -211,35 +213,34 @@ def reconstruct(d: DecomposedModel) -> ScalarField:
 # ---------------------------------------------------------------------------
 # basis archive
 
-MANIFEST_NAME = "manifest.txt"
 PAYLOAD_NAME = "eigenvectors.f64"
+M0_NAME = "m0.ewf"
 MANIFEST_KEYS = ("kind", "beta", "n", "grid", "source_model_hash")
 
 
 def save_basis(directory: str | os.PathLike, basis: EigenBasis) -> Path:
-    """Write the eigenvectors.f64 payload, the lift m0.ewf and manifest.txt.
+    """Write basis as the archive `directory`, replacing the one there.
 
-    The payload is the raw little-endian float64 (n_nodes, n) eigenvector
-    block in C order, with no header: the manifest carries its grid and n.
-    Each file goes to a temporary sibling that then replaces it, in that
-    order, so a write that fails leaves every file whole, and one that
-    fails before the manifest leaves the old manifest in charge.
+    The archive holds manifest.txt (spec, n, grid, source model hash and
+    the eigenvalues), the lift m0.ewf and the eigenvectors.f64 payload: the
+    raw little-endian float64 (n_nodes, n) eigenvector block in C order.
     """
-    out = fileio.ensure_dir(directory)
     g = basis.grid
-    lines = [
-        f"kind = {basis.spec.kind}",
-        f"beta = {basis.spec.beta!r}",
-        f"n = {basis.n_vectors}",
-        f"grid = {g.nx} {g.nz} {g.hx!r} {g.hz!r} {g.x0!r} {g.z0!r}",
-        f"source_model_hash = {basis.source_model_hash}",
-        "eigenvalues =",
-    ]
-    lines += [f"  {float(v)!r}" for v in basis.eigenvalues]
-    fileio.write_atomic(out / PAYLOAD_NAME, np.ascontiguousarray(basis.eigenvectors, dtype="<f8"))
-    fileio.write_field(out / "m0.ewf", basis.m0)
-    fileio.write_atomic(out / MANIFEST_NAME, ("\n".join(lines) + "\n").encode("ascii"))
-    return out
+    with fileio.new_archive(directory) as tmp:
+        fileio.write_payload(tmp / PAYLOAD_NAME, basis.eigenvectors, "<f8")
+        fileio.write_field(tmp / M0_NAME, basis.m0)
+        fileio.write_manifest(
+            tmp,
+            {
+                "kind": basis.spec.kind,
+                "beta": repr(basis.spec.beta),
+                "n": basis.n_vectors,
+                "grid": f"{g.nx} {g.nz} {g.hx!r} {g.hz!r} {g.x0!r} {g.z0!r}",
+                "source_model_hash": basis.source_model_hash,
+            },
+            {"eigenvalues": [repr(float(v)) for v in basis.eigenvalues]},
+        )
+    return Path(directory)
 
 
 def load_basis(directory: str | os.PathLike) -> EigenBasis:
@@ -251,50 +252,22 @@ def load_basis(directory: str | os.PathLike) -> EigenBasis:
     columns are not orthonormal to ORTHO_TOL raises FieldFileError.
     """
     root = Path(directory)
-    manifest = root / MANIFEST_NAME
-    fields: dict[str, str] = {}
-    value_lines: list[str] = []
-    in_vals = False
-    for raw in manifest.read_text(encoding="ascii").splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if in_vals:
-            value_lines.append(line)
-            continue
-        key, sep, value = (t.strip() for t in line.partition("="))
-        if key == "eigenvalues":
-            in_vals = True
-        elif sep and key in MANIFEST_KEYS:
-            fields[key] = value
-        else:
-            raise fileio.FieldFileError(f"{manifest}: unrecognized line {line!r}")
-    for key in MANIFEST_KEYS:
-        if key not in fields:
-            raise fileio.FieldFileError(f"{manifest}: missing '{key} =' line")
+    manifest = fileio.read_manifest(root, MANIFEST_KEYS, ("eigenvalues",))
+    where = root / fileio.MANIFEST_NAME
     try:
-        spec = DiffusionSpec(kind=fields["kind"], beta=float(fields["beta"]))
-        n = int(fields["n"])
-        nx, nz, hx, hz, x0, z0 = fields["grid"].split()
+        spec = DiffusionSpec(kind=manifest["kind"], beta=float(manifest["beta"]))
+        n = int(manifest["n"])
+        nx, nz, hx, hz, x0, z0 = manifest["grid"].split()
         grid = Grid2D(int(nx), int(nz), float(hx), float(hz), float(x0), float(z0))
-        eigenvalues = np.array([float(v) for v in value_lines])
+        eigenvalues = np.array([float(v) for v in manifest["eigenvalues"]])
     except ValueError as exc:  # DiffusionError and GridError included
-        raise fileio.FieldFileError(f"{manifest}: malformed value: {exc}") from exc
+        raise fileio.FieldFileError(f"{where}: malformed value: {exc}") from exc
     if eigenvalues.size != n:
-        raise fileio.FieldFileError(
-            f"manifest promises {n} eigenvalues, found {eigenvalues.size}"
-        )
-    m0 = fileio.read_field(root / "m0.ewf")
+        raise fileio.FieldFileError(f"{where}: n = {n}, but {eigenvalues.size} eigenvalues")
+    m0 = fileio.read_field(root / M0_NAME)
     if m0.grid != grid:
-        raise fileio.FieldFileError(f"{manifest}: grid {grid} disagrees with m0.ewf {m0.grid}")
-    payload = (root / PAYLOAD_NAME).read_bytes()
-    expected = grid.n_nodes * n * 8
-    if len(payload) != expected:
-        raise fileio.FieldFileError(
-            f"{root / PAYLOAD_NAME}: {len(payload)} bytes, but n = {n} vectors of "
-            f"{grid.n_nodes} nodes need {expected}"
-        )
-    vecs = np.frombuffer(payload, dtype="<f8").reshape(grid.n_nodes, n)
+        raise fileio.FieldFileError(f"{where}: grid {grid} disagrees with m0.ewf {m0.grid}")
+    vecs = fileio.read_payload(root / PAYLOAD_NAME, "<f8", (grid.n_nodes, n))
     gram = _gram_defect(vecs)
     if not gram <= ORTHO_TOL:
         raise fileio.FieldFileError(
@@ -303,7 +276,7 @@ def load_basis(directory: str | os.PathLike) -> EigenBasis:
         )
     return EigenBasis(
         spec=spec,
-        source_model_hash=fields["source_model_hash"],
+        source_model_hash=manifest["source_model_hash"],
         m0=m0,
         eigenvalues=eigenvalues,
         eigenvectors=vecs,

@@ -1,9 +1,9 @@
 import pytest
 
 from eigenwave.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
-from eigenwave.dataset import MANIFEST_NAME, load_dataset
+from eigenwave.dataset import load_dataset
 from eigenwave.eigenbasis import load_basis
-from eigenwave.fileio import read_field, write_field
+from eigenwave.fileio import MANIFEST_NAME, read_field, write_field
 from eigenwave.grid import Grid2D, ScalarField
 from eigenwave.inversion import InversionHistory
 from eigenwave.synthetics import make_layered_model
@@ -147,7 +147,7 @@ def test_dropped_frequency_line_is_io_error(synth_dir):
         text = path.read_bytes()
         if path.name == MANIFEST_NAME:
             lines = text.decode("ascii").splitlines()
-            text = "\n".join(l for l in lines if not l.startswith("frequency = 5.0")).encode()
+            text = "\n".join(l for l in lines if l != "  5.0").encode()
         (bad / path.name).write_bytes(text)
     cfg = invert_config(synth_dir, "bad_dataset", "inv_bad")
     assert main(["invert", "--config", cfg]) == EXIT_IO
@@ -219,6 +219,20 @@ def test_decompose_writes_report_and_reconstructions(synth_dir):
         assert recon.grid == Grid2D(nx=24, nz=12, hx=50.0, hz=50.0)
 
 
+def test_decompose_drops_beta_with_singular_diffusion_lu(synth_dir):
+    # at beta = 1e-7, eta2 = exp(-|grad m|^2 / beta) floors to the smallest
+    # normal float across the dome's edge, and the diffusion LU is singular
+    cfg = basis_config(synth_dir, "dec_eta2", eta="eta2")
+    path = synth_dir / "dec_eta2.ini"
+    path.write_text(path.read_text().replace("beta_list = 0.01 0.1 1", "beta_list = 1e-7 0.1"))
+    assert main(["decompose", "--config", cfg]) == EXIT_OK
+    report = (synth_dir / "dec_eta2" / "decomposition_report.csv").read_text().splitlines()
+    rows = [line.split(",") for line in report[1:3]]
+    assert [float(r[0]) for r in rows] == [1e-7, 0.1]
+    assert rows[0][1:] == ["failed", "failed"] and "failed" not in rows[1]
+    assert all(line.endswith(f"at beta = {0.1:.17g}") for line in report[3:])
+
+
 def test_threads_flag_is_gone(synth_dir, capsys):
     cfg = basis_config(synth_dir, "dec_threads")
     with pytest.raises(SystemExit) as exc:
@@ -266,6 +280,8 @@ BAD_VALUES = [
     ("decompose", "beta_list = 0.01 0.1 1", "beta_list = -1 0.1", "beta > 0"),
     ("decompose", "n_list = 5 10", "n_list = 5.7", "non-integer"),
     ("decompose", "n_list = 5 10", "n_list =", "not a number list"),
+    ("decompose", "n_list = 5 10", "n_list = -5", "at least 1"),
+    ("dump-basis", "n_list = 5 10", "n_list = 0", "at least 1"),
     ("synth", "domes = 600,300,200,100,2400", "domes = 600,300,200,100,9000", "dome speed"),
     ("synth", "domes = 600,300,200,100,2400", "domes = 600,300,200,abc,2400", "'abc'"),
     ("synth", "c_max = 5000", "c_max = 5000\nnoise_percent = 150", "noise percent"),
@@ -297,6 +313,20 @@ def test_bad_value_is_config_error(synth_dir, capsys, command, line, bad, messag
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {cfg}") and message in err
     assert not (synth_dir / out).exists()
+
+
+@pytest.mark.parametrize("command, archive", [("synth", "dataset"), ("dump-basis", "basis")])
+def test_archive_over_a_non_archive_directory_is_io_error(synth_dir, capsys, command, archive):
+    out = f"occupied_{command}"
+    cfg = {"synth": synth_config, "dump-basis": basis_config}[command](synth_dir, out)
+    notes = synth_dir / out / archive / "notes.txt"
+    notes.parent.mkdir(parents=True)
+    notes.write_text("not an archive")
+    assert main([command, "--config", cfg]) == EXIT_IO
+    assert "is not an archive" in capsys.readouterr().err
+    assert [p.name for p in (synth_dir / out).iterdir()] == [archive]
+    assert [p.name for p in notes.parent.iterdir()] == ["notes.txt"]
+    assert notes.read_text() == "not an archive"
 
 
 @pytest.mark.parametrize("command", ["forward", "dump-basis"])

@@ -1,8 +1,6 @@
 import shutil
 import tempfile
-from contextlib import contextmanager
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +11,8 @@ from hypothesis import strategies as st
 from eigenwave.diffusion import DiffusionSpec, assemble_diffusion, eval_eta, gradient_norms
 from eigenwave.eigenbasis import (
     MANIFEST_KEYS,
-    MANIFEST_NAME,
     PAYLOAD_NAME,
+    EigenBasis,
     EigenSolveError,
     build_basis,
     load_basis,
@@ -24,7 +22,7 @@ from eigenwave.eigenbasis import (
     smallest_eigenpairs,
 )
 from eigenwave import fileio
-from eigenwave.fileio import FieldFileError
+from eigenwave.fileio import MANIFEST_NAME, FieldFileError
 from eigenwave.grid import Grid2D, GridError, ScalarField, relative_error
 from eigenwave.synthetics import Dome, SaltModelSpec, make_salt_model
 
@@ -171,6 +169,9 @@ class TestSmallestEigenpairs:
             smallest_eigenpairs(op, 0)
         with pytest.raises(GridError):
             smallest_eigenpairs(op, 10)
+        for n in (-5, 0, 10, 10**9):  # build_basis checks before it allocates
+            with pytest.raises(GridError, match="need 1 <= n <= 9"):
+                build_basis(field(g, np.linspace(1.0, 2.0, 25)), DiffusionSpec("eta9"), n)
 
 
 @pytest.fixture(scope="module")
@@ -347,7 +348,10 @@ class TestArchive:
         np.testing.assert_array_equal(back.eigenvectors, basis.eigenvectors)
         np.testing.assert_array_equal(back.m0.values, basis.m0.values)
 
-    def test_failed_payload_write_keeps_old_archive(self, tmp_path, monkeypatch):
+    @staticmethod
+    def failed_save_keeps_old_archive(tmp_path, monkeypatch, writer, fail):
+        """Save a basis over an older one with fileio.`writer` replaced by
+        `fail`; the save must raise and leave the old archive as it was."""
         rng = np.random.default_rng(13)
         g = Grid2D(nx=9, nz=8, hx=12.5, hz=7.5)
         old = build_basis(field(g, 2.0 + rng.random(72)), DiffusionSpec("eta6", 3.5), 5)
@@ -355,30 +359,54 @@ class TestArchive:
         root = tmp_path / "basis"
         save_basis(root, old)
         before = {p.name: p.read_bytes() for p in root.iterdir()}
-        atomic_open = fileio.atomic_open
-
-        @contextmanager
-        def payload_fails_halfway(path):
-            with atomic_open(path) as fh:
-                if Path(path).name != PAYLOAD_NAME:
-                    yield fh
-                    return
-
-                def write(data):
-                    raw = memoryview(data).cast("B")
-                    fh.write(raw[: raw.nbytes // 2])
-                    raise OSError("disk full")
-
-                yield SimpleNamespace(write=write)
-
-        monkeypatch.setattr(fileio, "atomic_open", payload_fails_halfway)
+        monkeypatch.setattr(fileio, writer, fail)
         with pytest.raises(OSError, match="disk full"):
             save_basis(root, new)
         assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["basis"]
         back = load_basis(root)
         np.testing.assert_array_equal(back.eigenvalues, old.eigenvalues)
         assert back.eigenvectors.tobytes() == old.eigenvectors.tobytes()
         assert back.m0.values.tobytes() == old.m0.values.tobytes()
+        assert back.source_model_hash == old.source_model_hash
+
+    def test_failed_payload_write_keeps_old_archive(self, tmp_path, monkeypatch):
+        def write_half(path, array, dtype):
+            raw = np.ascontiguousarray(array, dtype=dtype).tobytes()
+            path.write_bytes(raw[: len(raw) // 2])
+            raise OSError("disk full")
+
+        self.failed_save_keeps_old_archive(tmp_path, monkeypatch, "write_payload", write_half)
+
+    @pytest.mark.parametrize("writer", ["write_field", "write_manifest"])
+    def test_failed_later_write_keeps_old_archive(self, tmp_path, monkeypatch, writer):
+        # the m0.ewf and manifest.txt writes that follow the payload
+        def disk_full(*args):
+            raise OSError("disk full")
+
+        self.failed_save_keeps_old_archive(tmp_path, monkeypatch, writer, disk_full)
+
+    def test_archive_layout_is_unchanged(self, tmp_path):
+        # the byte layout of a basis archive is fixed: archives already on
+        # disk must keep loading
+        g = Grid2D(nx=4, nz=3, hx=12.5, hz=7.5, x0=100.0, z0=-4.0)
+        vecs = np.zeros((12, 2))
+        vecs[5, 0] = vecs[6, 1] = 1.0
+        basis = EigenBasis(
+            spec=DiffusionSpec("eta6", 3.5),
+            source_model_hash="0123abcd",
+            m0=field(g, np.arange(12.0) / 3.0),
+            eigenvalues=np.array([0.1, 2.5e-7]),
+            eigenvectors=vecs,
+        )
+        root = save_basis(tmp_path / "basis", basis)
+        assert (root / MANIFEST_NAME).read_text() == (
+            "kind = eta6\nbeta = 3.5\nn = 2\ngrid = 4 3 12.5 7.5 100.0 -4.0\n"
+            "source_model_hash = 0123abcd\neigenvalues =\n  0.1\n  2.5e-07\n"
+        )
+        assert (root / PAYLOAD_NAME).read_bytes() == vecs.astype("<f8").tobytes()
+        m0 = (np.arange(12.0) / 3.0).astype("<f8").tobytes()
+        assert (root / "m0.ewf").read_bytes() == b"EWF1 4 3 12.5 7.5 100.0 -4.0\n" + m0
 
     def test_manifest_lists_eigenvalues(self, tmp_path):
         g = Grid2D(nx=6, nz=6, hx=1.0, hz=1.0)

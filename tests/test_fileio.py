@@ -1,3 +1,4 @@
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from eigenwave import fileio
 from eigenwave.fileio import (
+    MANIFEST_NAME,
     FieldFileError,
     read_field,
     write_field,
@@ -128,3 +130,79 @@ def test_failed_write_leaves_old_file(tmp_path, monkeypatch):
         write_field(path, ScalarField(g, -np.arange(12.0)))
     assert [p.name for p in tmp_path.iterdir()] == ["f.ewf"]
     assert path.read_bytes() == before
+
+
+def test_new_archive_replaces_the_whole_directory(tmp_path):
+    root = tmp_path / "archive"
+    root.mkdir()  # an empty directory may be replaced
+    with fileio.new_archive(root) as new:
+        fileio.write_manifest(new, {"k": 1.5}, {"xs": ["1 2", "3"], "ys": []})
+        (new / "payload.bin").write_bytes(b"old")
+    assert fileio.read_manifest(root, ("k",), ("xs", "ys")) == {
+        "k": "1.5", "xs": ["1 2", "3"], "ys": []
+    }
+    with fileio.new_archive(root) as new:
+        fileio.write_manifest(new, {"k": 2}, {})
+    assert [p.name for p in root.iterdir()] == [MANIFEST_NAME]
+    assert fileio.read_manifest(root, ("k",)) == {"k": "2"}
+    assert [p.name for p in tmp_path.iterdir()] == ["archive"]
+
+
+@pytest.mark.parametrize("kind", ["directory", "file"])
+def test_new_archive_refuses_what_is_not_an_archive(tmp_path, kind):
+    target = tmp_path / "out"
+    if kind == "directory":
+        target.mkdir()
+        (target / "notes.txt").write_text("keep")
+    else:
+        target.write_text("keep")
+    with pytest.raises(FieldFileError, match="not an archive"):
+        with fileio.new_archive(target):
+            pytest.fail("nothing may be written")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert (target / "notes.txt" if kind == "directory" else target).read_text() == "keep"
+
+
+def test_failed_swap_restores_the_old_archive(tmp_path, monkeypatch):
+    root = tmp_path / "archive"
+    with fileio.new_archive(root) as new:
+        fileio.write_manifest(new, {"k": 1}, {})
+    rename, calls = os.rename, []
+
+    def second_rename_fails(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:  # the new archive into place
+            raise OSError("rename failed")
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", second_rename_fails)
+    with pytest.raises(OSError, match="rename failed"):
+        with fileio.new_archive(root) as new:
+            fileio.write_manifest(new, {"k": 2}, {})
+    assert len(calls) == 3
+    assert fileio.read_manifest(root, ("k",)) == {"k": "1"}
+    assert [p.name for p in tmp_path.iterdir()] == ["archive"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("k = 1\nj = 2\nxs =\n", "unrecognized line 'j = 2'"),
+        ("k = 1\n  3\nxs =\n", "unrecognized line '  3'"),  # an entry outside a list
+        ("k = 1\nxs = 4\n", "unrecognized line 'xs = 4'"),  # a list header with a value
+        ("xs =\n  1\n", "missing 'k ='"),
+        ("k = 1\n", "missing 'xs ='"),
+    ],
+)
+def test_read_manifest_rejects(tmp_path, text, message):
+    (tmp_path / MANIFEST_NAME).write_text(text)
+    with pytest.raises(FieldFileError, match=message):
+        fileio.read_manifest(tmp_path, ("k",), ("xs",))
+
+
+def test_read_payload_checks_its_size(tmp_path):
+    path = tmp_path / "p.f64"
+    fileio.write_payload(path, np.arange(6.0).reshape(2, 3), "<f8")
+    assert fileio.read_payload(path, "<f8", (2, 3)).tolist() == [[0, 1, 2], [3, 4, 5]]
+    with pytest.raises(FieldFileError, match="48 bytes, but \\(3, 3\\) <f8 values need 72"):
+        fileio.read_payload(path, "<f8", (3, 3))

@@ -8,7 +8,9 @@ recovers the dome better than nodal FWI from the same smooth start.
 Without the 2 and 3 Hz data (the 4/5/6 Hz band) nodal FWI cycle-skips
 and ends no closer than its start, while the eigenbasis still roughly
 halves the start's error: the paper's claim that the eigenvector
-representation compensates for missing low frequencies.
+representation compensates for missing low frequencies.  In that band
+the paper's implementation guidelines show too: an N schedule that grows
+with frequency beats a fixed N, and an edge-aware basis beats Tikhonov.
 Each assertion is a margin, well inside what the model gives, so a
 change that flips an ordering fails while rounding-level drift does not.
 The FWI check also bounds the factorizations and the line-search
@@ -16,6 +18,7 @@ backtracks per accepted step, so a change that quietly doubles the
 evaluator's work, or loses the warm-started first trial, fails too.
 """
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -135,19 +138,51 @@ def test_eigenbasis_fwi_beats_nodal_fwi(salt, survey, seed):
     assert sum(r.n_backtracks for r in history.records) <= 0.55 * accepted
 
 
+@pytest.fixture(scope="module")
+def high_band_error(salt, survey):
+    """Percent model error after FWI of the 4/5/6 Hz data, with noise drawn
+    from `seed`, from the layered start; each (seed, config) runs once."""
+    start = make_layered_model(GRID, 1500.0, 3500.0)
+
+    @functools.cache
+    def error(seed, config):
+        data = add_data_noise(survey, 30.0, seed)
+        final, _ = run_inversion(replace(config, frequencies=HIGH_BAND), data, start)
+        return relative_error(salt.field, final.field)
+
+    return error
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_eigenbasis_compensates_for_missing_low_frequencies(salt, survey, seed):
+def test_eigenbasis_compensates_for_missing_low_frequencies(salt, high_band_error, seed):
     # eta4 at beta = 1e-2 saturates everywhere on the layered start (its
     # smallest normalized gradient is about 0.086), so its basis is that of
     # total variation (eta8): this pins the eigenbasis, not eta4's beta
-    data = add_data_noise(survey, 30.0, seed)
-    start = make_layered_model(GRID, 1500.0, 3500.0)
-    eigen, _ = run_inversion(replace(EIGENBASIS_FWI, frequencies=HIGH_BAND), data, start)
-    nodal, _ = run_inversion(replace(NODAL_FWI, frequencies=HIGH_BAND), data, start)
-    err = relative_error(salt.field, eigen.field)
-    nodal_err = relative_error(salt.field, nodal.field)
-    start_err = relative_error(salt.field, start.field)
+    err = high_band_error(seed, EIGENBASIS_FWI)
+    nodal_err = high_band_error(seed, NODAL_FWI)
+    start_err = relative_error(salt.field, make_layered_model(GRID, 1500.0, 3500.0).field)
     # about 9.0-9.7% against 21.3-21.4% for nodal, from a 19.37% start
     assert err < 0.6 * nodal_err
     assert err < 0.55 * start_err
     assert nodal_err >= start_err
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fwi_guidelines_hold_without_low_frequencies(high_band_error, seed):
+    """The paper's implementation guidelines, at 4/5/6 Hz where they show.
+
+    N should grow with frequency: the 10/20/30 schedule beats a fixed
+    N = 30.  And the basis should be edge-aware: eta4 beats Tikhonov
+    (eta9).  On the layered start, eta4 at beta = 1e-2 equals 100 x eta8,
+    total variation, to within 6e-8 (tanh saturates where the smallest
+    normalized gradient, 0.086, is far above beta), so its basis and its
+    errors are those of TV: the second check is TV against Tikhonov, not a
+    claim about eta4's beta.  At 2/3/4 Hz both gaps are too small to
+    assert.
+    """
+    err = high_band_error(seed, EIGENBASIS_FWI)
+    fixed_n = high_band_error(seed, replace(EIGENBASIS_FWI, n_schedule=(30, 30, 30)))
+    tikhonov = high_band_error(seed, replace(EIGENBASIS_FWI, spec=SPECS["eta9"]))
+    # about 0.82-0.87 of the fixed-N error, and 0.64-0.67 of Tikhonov's
+    assert err < 0.93 * fixed_n
+    assert err < 0.75 * tikhonov
