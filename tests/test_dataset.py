@@ -55,6 +55,13 @@ def test_dropped_frequency_line_rejected(saved):
         load_dataset(root)
 
 
+def test_extra_frequency_line_rejected(saved):
+    _, root = saved
+    edit_manifest(root, lambda lines: [l + "\n  11.0" if l == "  9.0" else l for l in lines])
+    with pytest.raises(FieldFileError, match=TRACES_NAME):
+        load_dataset(root)
+
+
 @pytest.mark.parametrize("name", ["sources", "receivers"])
 def test_dropped_list_line_rejected(saved, name):
     _, root = saved
