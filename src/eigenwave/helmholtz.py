@@ -56,12 +56,21 @@ worker thread and dropped on the main thread leaked about 48 MB per
 factorization at 321x161 (RSS 141 -> 414 MB over 6 cycles, none of it
 returned by malloc_trim); made and dropped on one thread, RSS stayed
 flat at 81 MB.
+
+A dropped LU's pages stay resident in glibc's heap, and where the next
+factorization and the slab buffers land among them is left to thread
+timing: on the same code and inputs, one process's generate_data peaked
+at 260 MB and the next at 307 MB (321x161, 64 sources, 6 frequencies).
+trim_heap hands those pages back; called once per dropped LU, ten
+processes in a row peaked at 240.2-240.6 MB.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
+import sys
 import threading
 from collections.abc import Callable
 from concurrent import futures
@@ -193,6 +202,22 @@ def _solve_slab(lu: spla.SuperLU, op: sp.spmatrix, slab: np.ndarray, trans: str)
                 f"{bound[worst]:.3e} (likely near-resonant or ill-conditioned operator)"
             )
     return x
+
+
+# glibc's malloc_trim; None where the C library has none
+_malloc_trim = (
+    getattr(ctypes.CDLL(None), "malloc_trim", None) if sys.platform == "linux" else None
+)
+
+
+def trim_heap() -> None:
+    """Return the free pages of the malloc heap to the OS, where glibc allows.
+
+    Call it once the last reference to an LU is gone (see the module
+    docstring); it costs one walk over the heap's free blocks.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def _lane_count() -> int:

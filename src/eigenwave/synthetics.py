@@ -24,6 +24,7 @@ from .helmholtz import (
     assemble,
     receiver_matrix,
     source_batch,
+    trim_heap,
 )
 
 
@@ -103,7 +104,9 @@ def generate_data(
     densifies its SLAB_COLUMNS source columns, solves them under
     solve_array's residual contract and refinement, and writes the
     receiver samples straight into the data, so no full wavefield and no
-    dense source block is ever held.  A pipelined variant that kept each
+    dense source block is ever held; the heap is trimmed as each
+    frequency's LU is dropped, which makes the peak RSS the same from one
+    run to the next.  A pipelined variant that kept each
     frequency's wavefields ran just as fast on the forward_survey
     benchmark (321x161, 64 sources, where one wavefield block is 53 MB),
     but its peak RSS read 415-426 MB, 13-14% above the unpipelined loop
@@ -129,6 +132,7 @@ def generate_data(
     ahead = factored(freqs[0]) if freqs else None
     for i in range(len(freqs)):
         op, lu = ahead, ahead.factor()
+        trim_heap()  # the previous frequency's LU, if any, is gone
 
         def sample(cols: slice) -> None:
             x = _solve_slab(lu, op.matrix, loads[:, cols].toarray(), "N")
