@@ -1,10 +1,11 @@
 """Command-line front end: synth | decompose | forward | invert | dump-basis.
 
-Run configuration is an INI-style text file with `key = value` lines,
-`#` comments and a fixed section/key schema; unknown sections or keys
-are rejected with the offending line number.  All paths are resolved
-relative to the config file.  Exit codes: 0 success, 2 configuration
-error, 3 file/I-O error, 4 numerical failure.
+Run configuration is an INI-style text file with `key = value` lines and
+`#` comments.  SCHEMA is the one list of its sections and keys, with each
+key's parser and default; an unknown section or key, or a value its
+parser rejects, is reported with the offending line number.  All paths
+are resolved relative to the config file.  Exit codes: 0 success, 2
+configuration error, 3 file/I-O error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .dataset import FrequencyDataset, load_dataset, save_dataset
+from .dataset import FrequencyDataset, check_frequencies, load_dataset, save_dataset
 from .diffusion import BETA_FREE_KINDS, DiffusionError, DiffusionSpec, ETA_KINDS
 from .eigenbasis import EigenSolveError, build_basis, project, reconstruct, save_basis
 from .fileio import FieldFileError
@@ -27,13 +28,7 @@ from .grid import Grid2D, GridError, Model, relative_error
 from .helmholtz import Acquisition, SolveError
 from .inversion import InversionConfig, run_inversion
 from .synthetics import (
-    Dome,
-    SaltModelSpec,
-    add_data_noise,
-    add_model_noise,
-    generate_data,
-    make_layered_model,
-    make_salt_model,
+    Dome, SaltModelSpec, add_data_noise, add_model_noise, generate_data, make_salt_model,
 )
 
 EXIT_OK = 0
@@ -41,21 +36,15 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
-# the default scaling sweep covers seven orders below 1 and six above
-DEFAULT_BETA_GRID = (
-    1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2, 1e-1, 5e-1,
-    1.0, 5.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6,
-)
-
 
 class ConfigError(ValueError):
     """Bad run configuration (schema violation, missing key, bad value)."""
 
 
 def _config_values(reader):
-    """Report a value from the config that the package rejects (GridError,
-    DiffusionError and a failed number parse are all ValueErrors) as a
-    ConfigError; a FieldFileError stays a fault of the file it names."""
+    """Report config values that the package or numpy rejects together
+    (GridError and DiffusionError are ValueErrors) as a ConfigError; a
+    FieldFileError stays a fault of the file it names."""
 
     @functools.wraps(reader)
     def read(self, *args):
@@ -69,25 +58,106 @@ def _config_values(reader):
     return read
 
 
-SCHEMA: dict[str, set[str]] = {
-    "grid": {"nx", "nz", "hx", "hz", "x0", "z0"},
+# -- value parsers: each takes the stripped text and raises ValueError -------
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    """Numbers separated by spaces or commas, at least one."""
+    values = tuple(float(t) for t in raw.replace(",", " ").split())
+    if not values:
+        raise ValueError("not a number list")
+    return values
+
+
+def _counts(raw: str) -> tuple[int, ...]:
+    """A number list of integers, each at least 1."""
+    values = _floats(raw)
+    if not all(v.is_integer() for v in values):
+        raise ValueError("holds a non-integer")
+    if min(values) < 1:
+        raise ValueError("each N must be at least 1")
+    return tuple(int(v) for v in values)
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError("not a boolean") from None
+
+
+def _one_of(*choices: str):
+    def parse(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"expected one of {choices}")
+        return raw
+
+    return parse
+
+
+def _domes(raw: str) -> tuple[Dome, ...]:
+    """`x,z,rx,rz,speed` per dome, domes separated by `;`."""
+    domes = []
+    for chunk in filter(None, (c.strip() for c in raw.split(";"))):
+        parts = [float(t) for t in chunk.replace(",", " ").split()]
+        if len(parts) != 5:
+            raise ValueError(f"dome needs 'x,z,rx,rz,speed', got {chunk!r}")
+        domes.append(Dome(*parts))
+    return tuple(domes)
+
+
+REQUIRED = object()  # the default of a key that has none: reading it unset is an error
+
+# section -> key -> (parser, default): the one list of keys, their types
+# and their defaults.  A default of None means "not set": [data] snr_db
+# then leaves the data clean, and [spec] n_list takes its command's default.
+SCHEMA: dict[str, dict[str, tuple]] = {
+    "grid": {
+        "nx": (int, REQUIRED), "nz": (int, REQUIRED),
+        "hx": (float, REQUIRED), "hz": (float, REQUIRED),
+        "x0": (float, 0.0), "z0": (float, 0.0),
+    },
     "model": {
-        "kind", "c_top", "c_bottom", "c_min", "c_max", "domes",
-        "noise_percent", "path", "start_path",
+        "kind": (_one_of("salt", "layered"), "salt"),
+        "c_top": (float, REQUIRED), "c_bottom": (float, REQUIRED),
+        "c_min": (float, 1000.0), "c_max": (float, 6000.0),
+        "domes": (_domes, ()), "noise_percent": (float, 0.0),
+        "path": (str, REQUIRED), "start_path": (str, REQUIRED),
     },
-    "spec": {"eta", "beta", "beta_list", "n_list"},
+    "spec": {
+        "eta": (_one_of(*ETA_KINDS), REQUIRED), "beta": (float, 1.0),
+        # the default scaling sweep covers seven orders below 1 and six above
+        "beta_list": (_floats, (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2, 1e-1, 5e-1,
+                                1.0, 5.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6)),
+        "n_list": (_counts, None),
+    },
     "acquisition": {
-        "n_sources", "source_depth", "source_x0", "source_x1", "source_amplitude",
-        "n_receivers", "receiver_depth", "receiver_x0", "receiver_x1",
+        "n_sources": (int, REQUIRED), "source_depth": (float, REQUIRED),
+        "source_x0": (float, REQUIRED), "source_x1": (float, REQUIRED),
+        "source_amplitude": (complex, 1 + 0j),
+        "n_receivers": (int, REQUIRED), "receiver_depth": (float, REQUIRED),
+        "receiver_x0": (float, REQUIRED), "receiver_x1": (float, REQUIRED),
     },
-    "data": {"frequencies", "snr_db", "path"},
-    "inversion": {"n_schedule", "n_iter", "nodal"},
-    "output": {"dir"},
+    "data": {
+        "frequencies": (lambda raw: check_frequencies(_floats(raw)), REQUIRED),
+        "snr_db": (_finite, None), "path": (str, REQUIRED),
+    },
+    "inversion": {
+        "n_schedule": (_counts, REQUIRED), "n_iter": (int, 30), "nodal": (_bool, False),
+    },
+    "output": {"dir": (str, "out")},
 }
 
 
 class RunConfig:
-    """Validated view of a config file, with typed accessors."""
+    """Validated view of a config file; cfg[section, key] is the parsed value."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -97,226 +167,119 @@ class RunConfig:
             comment_prefixes=("#",), inline_comment_prefixes=("#",), delimiters=("=",)
         )
         try:
-            text = self.path.read_text(encoding="utf-8")
-            parser.read_string(text, source=str(self.path))
+            self._text = self.path.read_text(encoding="utf-8")
+            parser.read_string(self._text, source=str(self.path))
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {self.path}: {exc}") from exc
         for section in parser.sections():
             if section not in SCHEMA:
-                raise ConfigError(
-                    f"{self.path}:{self._line_of(text, section)}: "
-                    f"unknown section [{section}]"
-                )
+                raise ConfigError(f"{self._where(section)}: unknown section [{section}]")
             for key in parser[section]:
                 if key not in SCHEMA[section]:
                     raise ConfigError(
-                        f"{self.path}:{self._line_of(text, section, key)}: "
-                        f"unknown key {key!r} in [{section}]"
+                        f"{self._where(section, key)}: unknown key {key!r} in [{section}]"
                     )
         self._parser = parser
 
-    @staticmethod
-    def _line_of(text: str, section: str, key: str | None = None) -> int:
-        """Line number of [section], or of `key =` inside it; 0 if not found."""
+    def _where(self, section: str, key: str | None = None) -> str:
+        """`path:line` of [section], or of `key =` inside it; line 0 if not found."""
         current = None
-        for i, line in enumerate(text.splitlines(), start=1):
+        for i, line in enumerate(self._text.splitlines(), start=1):
             header = re.match(r"\s*\[(.+)\]", line)
             if header:
                 current = header[1]
                 if key is None and current == section:
-                    return i
+                    return f"{self.path}:{i}"
             elif key and current == section and re.match(rf"\s*{re.escape(key)}\s*=", line, re.I):
-                return i
-        return 0
+                return f"{self.path}:{i}"
+        return f"{self.path}:0"
 
-    def has(self, section: str, key: str) -> bool:
-        return self._parser.has_option(section, key)
-
-    def _raw(self, section: str, key: str, default=None):
+    def __getitem__(self, item: tuple[str, str]):
+        """[section] key parsed by its SCHEMA entry, or its default when unset."""
+        section, key = item
+        parse, default = SCHEMA[section][key]
         if not self._parser.has_option(section, key):
-            if default is not None:
-                return default
-            raise ConfigError(f"{self.path}: missing [{section}] {key}")
-        return self._parser.get(section, key)
-
-    def get_str(self, section, key, default=None) -> str:
-        return str(self._raw(section, key, default)).strip()
-
-    def get_int(self, section, key, default=None) -> int:
-        raw = self._raw(section, key, default)
+            if default is REQUIRED:
+                raise ConfigError(f"{self.path}: missing [{section}] {key}")
+            return default
+        raw = self._parser.get(section, key).strip()
         try:
-            return int(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{self.path}: [{section}] {key} = {raw!r} is not an integer") from exc
-
-    def get_float(self, section, key, default=None) -> float:
-        raw = self._raw(section, key, default)
-        try:
-            return float(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{self.path}: [{section}] {key} = {raw!r} is not a number") from exc
-
-    def get_bool(self, section, key, default=None) -> bool:
-        raw = str(self._raw(section, key, default)).strip().lower()
-        if raw in ("1", "true", "yes", "on"):
-            return True
-        if raw in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{self.path}: [{section}] {key} = {raw!r} is not a boolean")
-
-    def get_floats(self, section, key, default=None) -> tuple[float, ...]:
-        raw = self._raw(section, key, default)
-        if isinstance(raw, tuple):
-            return raw
-        try:
-            values = tuple(float(t) for t in str(raw).replace(",", " ").split())
-        except ValueError:
-            values = ()
-        if not values:
-            raise ConfigError(f"{self.path}: [{section}] {key} = {raw!r} is not a number list")
-        return values
-
-    def get_ints(self, section, key, default=None) -> tuple[int, ...]:
-        values = self.get_floats(section, key, default)
-        if not all(float(v).is_integer() for v in values):
-            raise ConfigError(f"{self.path}: [{section}] {key} = {values} holds a non-integer")
-        return tuple(int(v) for v in values)
+            return parse(raw)
+        except ValueError as exc:
+            where = self._where(section, key)
+            raise ConfigError(f"{where}: [{section}] {key} = {raw!r}: {exc}") from exc
 
     def resolve(self, relpath: str) -> Path:
         return (self.path.parent / relpath).resolve()
 
-    # -- composite readers ---------------------------------------------------
-
-    @_config_values
-    def grid(self) -> Grid2D:
-        return Grid2D(
-            nx=self.get_int("grid", "nx"),
-            nz=self.get_int("grid", "nz"),
-            hx=self.get_float("grid", "hx"),
-            hz=self.get_float("grid", "hz"),
-            x0=self.get_float("grid", "x0", 0.0),
-            z0=self.get_float("grid", "z0", 0.0),
-        )
-
-    def eta_kind(self) -> str:
-        kind = self.get_str("spec", "eta")
-        if kind not in ETA_KINDS:
-            raise ConfigError(f"{self.path}: [spec] eta = {kind!r}, expected one of {ETA_KINDS}")
-        return kind
+    # -- composite readers: checks that span keys or need the package -------
 
     @_config_values
     def diffusion_spec(self) -> DiffusionSpec:
-        return DiffusionSpec(kind=self.eta_kind(), beta=self.get_float("spec", "beta", 1.0))
+        return DiffusionSpec(kind=self["spec", "eta"], beta=self["spec", "beta"])
 
     @_config_values
     def beta_list(self, kind: str) -> tuple[float, ...]:
         if kind in BETA_FREE_KINDS:
             return (1.0,)
-        betas = self.get_floats("spec", "beta_list", DEFAULT_BETA_GRID)
+        betas = self["spec", "beta_list"]
         for beta in betas:
             DiffusionSpec(kind=kind, beta=beta)  # raises on a beta the kind rejects
         return betas
 
     @_config_values
-    def n_list(self, default: tuple[int, ...]) -> tuple[int, ...]:
-        """[spec] n_list: the basis sizes, each at least 1."""
-        n_list = self.get_ints("spec", "n_list", default)
-        if min(n_list) < 1:
-            raise ValueError(f"[spec] n_list = {n_list}: each N must be at least 1")
-        return n_list
-
-    @_config_values
-    def frequencies(self) -> tuple[float, ...]:
-        freqs = self.get_floats("data", "frequencies")
-        if not all(0.0 < f < np.inf for f in freqs):
-            raise ValueError(f"[data] frequencies = {freqs}: each must be finite and positive")
-        return freqs
-
-    @_config_values
-    def snr_db(self) -> float | None:
-        """[data] snr_db, or None when the data stay clean."""
-        if not self.has("data", "snr_db"):
-            return None
-        snr = self.get_float("data", "snr_db")
-        if not np.isfinite(snr):
-            raise ValueError(f"[data] snr_db = {snr} must be finite")
-        return snr
-
-    @_config_values
-    def acquisition(self) -> Acquisition:
-        amp = complex(self.get_str("acquisition", "source_amplitude", "1"))
-        n_src = self.get_int("acquisition", "n_sources")
-        n_rec = self.get_int("acquisition", "n_receivers")
-        src_x = np.linspace(
-            self.get_float("acquisition", "source_x0"),
-            self.get_float("acquisition", "source_x1"),
-            n_src,
+    def acquisition(self, grid: Grid2D) -> Acquisition:
+        """The line acquisition, every source and receiver inside `grid`."""
+        amp = self["acquisition", "source_amplitude"]
+        n_src, n_rec = self["acquisition", "n_sources"], self["acquisition", "n_receivers"]
+        src_z, rec_z = self["acquisition", "source_depth"], self["acquisition", "receiver_depth"]
+        src_x0, src_x1 = self["acquisition", "source_x0"], self["acquisition", "source_x1"]
+        rec_x0, rec_x1 = self["acquisition", "receiver_x0"], self["acquisition", "receiver_x1"]
+        acq = Acquisition(
+            sources=tuple((x, src_z, amp) for x in np.linspace(src_x0, src_x1, n_src)),
+            receivers=tuple((x, rec_z) for x in np.linspace(rec_x0, rec_x1, n_rec)),
         )
-        rec_x = np.linspace(
-            self.get_float("acquisition", "receiver_x0"),
-            self.get_float("acquisition", "receiver_x1"),
-            n_rec,
-        )
-        src_z = self.get_float("acquisition", "source_depth")
-        rec_z = self.get_float("acquisition", "receiver_depth")
-        return Acquisition(
-            sources=tuple((x, src_z, amp) for x in src_x),
-            receivers=tuple((x, rec_z) for x in rec_x),
-        )
-
-    @_config_values
-    def domes(self) -> tuple[Dome, ...]:
-        raw = self.get_str("model", "domes", "")
-        out = []
-        for chunk in raw.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            parts = [float(t) for t in chunk.replace(",", " ").split()]
-            if len(parts) != 5:
-                raise ConfigError(
-                    f"{self.path}: dome needs 'x,z,rx,rz,speed', got {chunk!r}"
-                )
-            out.append(Dome(*parts))
-        return tuple(out)
+        acq.validate_in(grid)
+        return acq
 
     @_config_values
     def build_model(self, seed: int) -> Model:
-        kind = self.get_str("model", "kind", "salt")
-        grid = self.grid()
-        c_min = self.get_float("model", "c_min", 1000.0)
-        c_max = self.get_float("model", "c_max", 6000.0)
-        c_top = self.get_float("model", "c_top")
-        c_bottom = self.get_float("model", "c_bottom")
-        if kind == "layered":
-            model = make_layered_model(grid, c_top, c_bottom, c_min=c_min, c_max=c_max)
-        elif kind == "salt":
-            spec = SaltModelSpec(
-                c_top=c_top, c_bottom=c_bottom, domes=self.domes(),
-                c_min=c_min, c_max=c_max,
-            )
-            model = make_salt_model(spec, grid)
-        else:
-            raise ConfigError(f"{self.path}: [model] kind = {kind!r}, expected salt|layered")
-        noise = self.get_float("model", "noise_percent", 0.0)
+        """The salt model, or with kind = layered its background alone."""
+        spec = SaltModelSpec(
+            c_top=self["model", "c_top"], c_bottom=self["model", "c_bottom"],
+            domes=self["model", "domes"] if self["model", "kind"] == "salt" else (),
+            c_min=self["model", "c_min"], c_max=self["model", "c_max"],
+        )
+        grid = Grid2D(
+            nx=self["grid", "nx"], nz=self["grid", "nz"],
+            hx=self["grid", "hx"], hz=self["grid", "hz"],
+            x0=self["grid", "x0"], z0=self["grid", "z0"],
+        )
+        model = make_salt_model(spec, grid)
+        noise = self["model", "noise_percent"]
         if noise > 0.0:
             model = add_model_noise(model, noise, seed)
         return model
 
     @_config_values
-    def load_model(self, key: str = "path") -> Model:
-        path = self.resolve(self.get_str("model", key))
+    def load_model(self, relpath: str) -> Model:
+        path = self.resolve(relpath)
         if not path.is_file():
             raise FileNotFoundError(f"model file not found: {path}")
         field = fileio.read_field(path)
         if np.any(field.values <= 0.0):
             raise FieldFileError(f"{path}: squared slowness must be strictly positive")
-        c_min = self.get_float("model", "c_min", 1000.0)
-        c_max = self.get_float("model", "c_max", 6000.0)
-        return Model(field=field, c_min=c_min, c_max=c_max)
+        return Model(field=field, c_min=self["model", "c_min"], c_max=self["model", "c_max"])
 
-    def output_dir(self) -> Path:
-        return self.resolve(self.get_str("output", "dir", "out"))
+    @_config_values
+    def inversion(self) -> InversionConfig:
+        nodal = self["inversion", "nodal"]
+        return InversionConfig(
+            frequencies=self["data", "frequencies"], n_iter=self["inversion", "n_iter"],
+            n_schedule=() if nodal else self["inversion", "n_schedule"],
+            spec=None if nodal else self.diffusion_spec(),
+            nodal=nodal,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +290,11 @@ def _synthesize(cfg: RunConfig, model: Model, seed: int) -> tuple[FrequencyDatas
     """Data for `model` over the configured acquisition and frequencies, with
     noise seeded by seed + 1 when [data] snr_db is set, saved to
     <output dir>/dataset.  Returns the dataset and the output directory."""
-    snr_db = cfg.snr_db()
-    ds = generate_data(model, cfg.acquisition(), cfg.frequencies())
+    snr_db = cfg["data", "snr_db"]
+    ds = generate_data(model, cfg.acquisition(model.grid), cfg["data", "frequencies"])
     if snr_db is not None:
         ds = add_data_noise(ds, snr_db, seed + 1)
-    out = fileio.ensure_dir(cfg.output_dir())
+    out = fileio.ensure_dir(cfg.resolve(cfg["output", "dir"]))
     save_dataset(out / "dataset", ds)
     return ds, out
 
@@ -346,15 +309,15 @@ def cmd_synth(cfg: RunConfig, seed: int) -> int:
 
 
 def cmd_forward(cfg: RunConfig, seed: int) -> int:
-    ds, out = _synthesize(cfg, cfg.load_model("path"), seed)
+    ds, out = _synthesize(cfg, cfg.load_model(cfg["model", "path"]), seed)
     print(f"forward: wrote {ds.n_frequencies}-frequency dataset to {out}")
     return EXIT_OK
 
 
 def cmd_decompose(cfg: RunConfig, seed: int) -> int:
-    model = cfg.load_model("path")
-    kind = cfg.eta_kind()
-    n_list = cfg.n_list((10, 20, 50))
+    model = cfg.load_model(cfg["model", "path"])
+    kind = cfg["spec", "eta"]
+    n_list = cfg["spec", "n_list"] or (10, 20, 50)
     betas = cfg.beta_list(kind)
     n_max = max(n_list)
 
@@ -387,7 +350,7 @@ def cmd_decompose(cfg: RunConfig, seed: int) -> int:
         i = int(best_rows[j])
         lines.append(f"best_N{n} = {errors[i, j]:.17g} at beta = {betas[i]:.17g}")
 
-    out = fileio.ensure_dir(cfg.output_dir())
+    out = fileio.ensure_dir(cfg.resolve(cfg["output", "dir"]))
     report = "\n".join(lines) + "\n"
     (out / "decomposition_report.csv").write_text(report, encoding="ascii")
     print(report, end="")
@@ -400,24 +363,14 @@ def cmd_decompose(cfg: RunConfig, seed: int) -> int:
 
 
 def cmd_invert(cfg: RunConfig, seed: int) -> int:
-    nodal = cfg.get_bool("inversion", "nodal", False)
-    try:
-        config = InversionConfig(
-            frequencies=cfg.frequencies(),
-            n_schedule=() if nodal else cfg.get_ints("inversion", "n_schedule"),
-            n_iter=cfg.get_int("inversion", "n_iter", 30),
-            spec=None if nodal else cfg.diffusion_spec(),
-            nodal=nodal,
-        )
-    except GridError as exc:
-        raise ConfigError(f"{cfg.path}: {exc}") from exc
-    ds_path = cfg.resolve(cfg.get_str("data", "path"))
+    config = cfg.inversion()
+    ds_path = cfg.resolve(cfg["data", "path"])
     if not ds_path.is_dir():
         raise FileNotFoundError(f"dataset directory not found: {ds_path}")
     dataset = load_dataset(ds_path)
-    m_start = cfg.load_model("start_path")
+    m_start = cfg.load_model(cfg["model", "start_path"])
     final, history = run_inversion(config, dataset, m_start)
-    out = fileio.ensure_dir(cfg.output_dir())
+    out = fileio.ensure_dir(cfg.resolve(cfg["output", "dir"]))
     history.to_csv(out / "history.csv")
     for b, snap in history.snapshots:
         fileio.write_field(out / f"snapshot_{b + 1:04d}.ewf", snap)
@@ -430,11 +383,11 @@ def cmd_invert(cfg: RunConfig, seed: int) -> int:
 
 
 def cmd_dump_basis(cfg: RunConfig, seed: int) -> int:
-    model = cfg.load_model("path")
+    model = cfg.load_model(cfg["model", "path"])
     spec = cfg.diffusion_spec()
-    n = max(cfg.n_list((50,)))
+    n = max(cfg["spec", "n_list"] or (50,))
     basis = build_basis(model.field, spec, n)
-    out = fileio.ensure_dir(cfg.output_dir())
+    out = fileio.ensure_dir(cfg.resolve(cfg["output", "dir"]))
     save_basis(out / "basis", basis)
     (out / "eigenvalues.txt").write_text(
         "".join(f"{float(v)!r}\n" for v in basis.eigenvalues), encoding="ascii"

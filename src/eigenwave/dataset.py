@@ -22,9 +22,19 @@ from .grid import GridError
 from .helmholtz import Acquisition
 
 
+def check_frequencies(frequencies) -> tuple[float, ...]:
+    """The frequencies as floats; GridError unless each is finite and
+    positive and each is above the one before."""
+    freqs = tuple(float(f) for f in frequencies)
+    if not all(0.0 < f < np.inf for f in freqs) or any(b <= a for a, b in zip(freqs, freqs[1:])):
+        raise GridError(f"frequencies {freqs}: each must be finite and positive, and increasing")
+    return freqs
+
+
 @dataclass(frozen=True)
 class FrequencyDataset:
-    """Per (frequency, source) complex receiver traces."""
+    """Per (frequency, source) complex receiver traces, frequencies as
+    check_frequencies accepts them."""
 
     acquisition: Acquisition
     frequencies: tuple[float, ...]
@@ -32,7 +42,7 @@ class FrequencyDataset:
     snr_db: float | None = None
 
     def __post_init__(self):
-        freqs = tuple(float(f) for f in self.frequencies)
+        freqs = check_frequencies(self.frequencies)
         arr = np.asarray(self.data, dtype=np.complex128)
         shape = (len(freqs), self.acquisition.n_sources, self.acquisition.n_receivers)
         if arr.shape != shape:
@@ -79,9 +89,10 @@ def load_dataset(directory: str | os.PathLike) -> FrequencyDataset:
     Raises FieldFileError for a manifest line that is not `snr_db =` or
     part of the three lists, a missing `snr_db =` line or list, a value that
     is not a number, a source entry without 4 numbers or a receiver entry
-    without 2, sources or receivers that Acquisition rejects, and a
-    traces.c16 whose size is not 16 bytes per (frequency, source, receiver)
-    that the lists give, which is how a dropped list entry shows.
+    without 2, sources or receivers that Acquisition rejects, frequencies
+    that FrequencyDataset rejects, and a traces.c16 whose size is not 16
+    bytes per (frequency, source, receiver) that the lists give, which is
+    how a dropped list entry shows.
     """
     root = Path(directory)
     man = fileio.read_manifest(root, ("snr_db",), ("frequencies", "sources", "receivers"))
@@ -94,8 +105,10 @@ def load_dataset(directory: str | os.PathLike) -> FrequencyDataset:
             sources=tuple((x, z, complex(re_a, im_a)) for x, z, re_a, im_a in sources),
             receivers=tuple((x, z) for x, z in receivers),
         )
+        shape = (len(frequencies), acq.n_sources, acq.n_receivers)
+        data = fileio.read_payload(root / TRACES_NAME, "<c16", shape)
+        return FrequencyDataset(acquisition=acq, frequencies=frequencies, data=data, snr_db=snr_db)
+    except fileio.FieldFileError:
+        raise
     except ValueError as exc:  # GridError included
         raise fileio.FieldFileError(f"{root / fileio.MANIFEST_NAME}: malformed: {exc}") from exc
-    shape = (len(frequencies), acq.n_sources, acq.n_receivers)
-    data = fileio.read_payload(root / TRACES_NAME, "<c16", shape)
-    return FrequencyDataset(acquisition=acq, frequencies=frequencies, data=data, snr_db=snr_db)

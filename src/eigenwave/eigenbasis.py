@@ -46,15 +46,13 @@ class EigenSolveError(RuntimeError):
     broke the residual or orthonormality contract."""
 
 
-def smallest_eigenpairs(
-    op: DiffusionOperator, n: int, rtol: float = EIG_RTOL
-) -> tuple[np.ndarray, np.ndarray]:
+def smallest_eigenpairs(op: DiffusionOperator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """N smallest eigenpairs of op.matrix A (SPD) by shift-invert ARPACK.
 
     Returns eigenvalues ascending and an orthonormal (dim, n) eigenvector
-    block, each pair satisfying ||A v - lam v|| <= rtol * ||A||_1.  That
+    block, each pair satisfying ||A v - lam v|| <= EIG_RTOL * ||A||_1.  That
     is a backward error, attainable however ill-conditioned A is; a bound
-    relative to lam sits at the rounding floor once cond(A) nears 1/rtol.
+    relative to lam sits at the rounding floor once cond(A) nears 1/EIG_RTOL.
     Each vector's sign makes positive the first entry whose magnitude is
     within SIGN_TIE_RTOL of its largest: on a mirror-symmetric model the two
     largest entries of an antisymmetric vector tie, and picking the single
@@ -92,12 +90,12 @@ def smallest_eigenpairs(
             vecs[:, j] *= -1.0
     a_norm = spla.norm(A, 1)
     resid = np.array([np.linalg.norm(A @ vecs[:, j] - vals[j] * vecs[:, j]) for j in range(n)])
-    bad = np.flatnonzero(~(resid <= rtol * a_norm))
+    bad = np.flatnonzero(~(resid <= EIG_RTOL * a_norm))
     if bad.size:
         j = bad[0]
         raise EigenSolveError(
             f"{bad.size}/{n} pairs break the residual contract: pair {j} "
-            f"(lambda {vals[j]:.6e}) has residual {resid[j] / a_norm:.3e} * ||A||_1 > {rtol:.1e}"
+            f"(lambda {vals[j]:.6e}) has residual {resid[j] / a_norm:.3e} * ||A||_1 > {EIG_RTOL:.1e}"
         )
     gram = _gram_defect(vecs)
     if gram > ORTHO_TOL:

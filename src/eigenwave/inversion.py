@@ -40,7 +40,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dataset import FrequencyDataset
+from .dataset import FrequencyDataset, check_frequencies
 from .diffusion import DiffusionSpec
 from .eigenbasis import EigenBasis, build_basis, project
 from .grid import Grid2D, GridError, Model, ScalarField, clamp_model, same_grid
@@ -81,12 +81,10 @@ class InversionConfig:
     nodal: bool = False
 
     def __post_init__(self):
-        freqs = tuple(float(f) for f in self.frequencies)
+        freqs = check_frequencies(self.frequencies)
         sched = tuple(int(n) for n in self.n_schedule)
         if not freqs:
             raise GridError("need at least one frequency")
-        if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
-            raise GridError(f"frequencies must be strictly increasing, got {freqs}")
         if any(n2 < n1 for n1, n2 in zip(sched, sched[1:])):
             raise GridError(f"N schedule must be nondecreasing, got {sched}")
         if self.n_iter < 0:
@@ -190,11 +188,9 @@ class MisfitEvaluator:
     """
 
     def __init__(self, dataset: FrequencyDataset, grid: Grid2D):
-        acq = dataset.acquisition
-        acq.validate_in(grid)
         self.dataset = dataset
-        self.rec_op = receiver_matrix(grid, acq)
-        self.rhs = source_batch(grid, acq).toarray()
+        self.rec_op = receiver_matrix(grid, dataset.acquisition)
+        self.rhs = source_batch(grid, dataset.acquisition).toarray()
         self.n_factor = 0
         self._entry: _Forward | None = None
 

@@ -66,10 +66,7 @@ def make_layered_model(
     c_max: float = 6000.0,
 ) -> Model:
     """1D profile, linear in depth; every column identical."""
-    z = (grid.zs() - grid.z0) / grid.extent_z
-    col = c_top + (c_bottom - c_top) * z
-    speeds = np.repeat(col, grid.nx)
-    return speed_to_slowness(ScalarField(grid, speeds), c_min=c_min, c_max=c_max)
+    return make_salt_model(SaltModelSpec(c_top, c_bottom, c_min=c_min, c_max=c_max), grid)
 
 
 def make_salt_model(spec: SaltModelSpec, grid: Grid2D) -> Model:
@@ -115,7 +112,6 @@ def generate_data(
     on the same columns.
     """
     grid = model_true.grid
-    acquisition.validate_in(grid)
     freqs = tuple(float(f) for f in frequencies_hz)
     rec_op = receiver_matrix(grid, acquisition)
     loads = source_batch(grid, acquisition)

@@ -289,6 +289,8 @@ BAD_VALUES = [
     ("synth", "n_sources = 3", "n_sources = 3\nsource_amplitude = abc", "malformed"),
     ("synth", "snr_db = 40", "snr_db = inf", "must be finite"),
     ("synth", "frequencies = 4 5 6", "frequencies = -1 5", "finite and positive"),
+    ("synth", "frequencies = 4 5 6", "frequencies = 5 4", "increasing"),
+    ("synth", "source_x1 = 1000", "source_x1 = 5000", "outside grid"),
     ("invert", "frequencies = 4 5 6", "frequencies = 0 5", "finite and positive"),
 ]
 
@@ -354,8 +356,11 @@ def test_nonpositive_model_file_is_io_error(synth_dir, capsys, command):
         # the same key is valid in an earlier section
         ("[grid]\nnx = 24\n[data]\nfrequencies = 4\nNX = 3\n", "5: unknown key 'nx' in [data]"),
         ("[grid]\nnx = 24\n\n[grids]\nnx = 3\n", "4: unknown section [grids]"),
+        # a value its parser rejects, in a section that starts further up
+        ("[model]\nc_min = 800\n\nc_top = 1500 m/s\n",
+         "4: [model] c_top = '1500 m/s': could not convert string to float: '1500 m/s'"),
     ],
-    ids=["key-sharing-a-prefix", "key-valid-in-another-section", "unknown-section"],
+    ids=["key-sharing-a-prefix", "key-valid-in-another-section", "unknown-section", "bad-value"],
 )
 def test_schema_error_names_its_line(tmp_path, capsys, text, where):
     path = tmp_path / "c.ini"

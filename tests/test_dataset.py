@@ -7,6 +7,7 @@ import pytest
 from eigenwave import fileio
 from eigenwave.dataset import TRACES_NAME, FrequencyDataset, load_dataset, save_dataset
 from eigenwave.fileio import MANIFEST_NAME, FieldFileError
+from eigenwave.grid import GridError
 from eigenwave.helmholtz import Acquisition
 
 
@@ -90,6 +91,24 @@ def test_missing_list_line_rejected(saved):
     edit_manifest(root, lambda lines: [l for l in lines if l != "receivers ="])
     with pytest.raises(FieldFileError, match="missing 'receivers ='"):
         load_dataset(root)
+
+
+@pytest.mark.parametrize(
+    "old, new", [("  7.0", "  nan"), ("  7.0", "  -7.0"), ("  9.0", "  6.0")],
+    ids=["nan", "negative", "decreasing"],
+)
+def test_bad_frequency_rejected(saved, old, new):
+    _, root = saved
+    edit_manifest(root, lambda lines: [new if l == old else l for l in lines])
+    with pytest.raises(FieldFileError, match="malformed: frequencies .* finite and positive"):
+        load_dataset(root)
+
+
+@pytest.mark.parametrize("freqs", [(5.0, float("inf"), 9.0), (0.0, 7.0, 9.0), (5.0, 5.0, 9.0)])
+def test_dataset_rejects_bad_frequencies(saved, freqs):
+    ds, _ = saved
+    with pytest.raises(GridError, match="increasing"):
+        replace(ds, frequencies=freqs)
 
 
 def test_mixed_source_depths_rejected(saved):

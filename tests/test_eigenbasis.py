@@ -21,7 +21,7 @@ from eigenwave.eigenbasis import (
     save_basis,
     smallest_eigenpairs,
 )
-from eigenwave import fileio
+from eigenwave import eigenbasis, fileio
 from eigenwave.fileio import MANIFEST_NAME, FieldFileError
 from eigenwave.grid import Grid2D, GridError, ScalarField, relative_error
 from eigenwave.synthetics import Dome, SaltModelSpec, make_salt_model
@@ -114,11 +114,12 @@ class TestSmallestEigenpairs:
             assert col[np.argmax(np.abs(col))] > 0.0
 
     @pytest.mark.parametrize("n", [4, 20])  # ARPACK and dense paths of a dim-20 operator
-    def test_residual_contract_checked(self, n):
+    def test_residual_contract_checked(self, n, monkeypatch):
         g = Grid2D(nx=7, nz=6, hx=1.0, hz=1.0)
         op = assemble_diffusion(field(g, np.linspace(1.0, 2.0, g.n_nodes)))
+        monkeypatch.setattr(eigenbasis, "EIG_RTOL", 1e-30)
         with pytest.raises(EigenSolveError, match="residual"):
-            smallest_eigenpairs(op, n, rtol=1e-30)
+            smallest_eigenpairs(op, n)
 
     def test_orthonormality_checked(self, monkeypatch):
         g = Grid2D(nx=7, nz=6, hx=1.0, hz=1.0)
