@@ -117,7 +117,7 @@ REQUIRED = object()  # the default of a key that has none: reading it unset is a
 
 # section -> key -> (parser, default): the one list of keys, their types
 # and their defaults.  A default of None means "not set": [data] snr_db
-# then leaves the data clean, and [spec] n_list takes its command's default.
+# then leaves the data clean.
 SCHEMA: dict[str, dict[str, tuple]] = {
     "grid": {
         "nx": (int, REQUIRED), "nz": (int, REQUIRED),
@@ -136,7 +136,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         # the default scaling sweep covers seven orders below 1 and six above
         "beta_list": (_floats, (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2, 1e-1, 5e-1,
                                 1.0, 5.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6)),
-        "n_list": (_counts, None),
+        "n_list": (_counts, (10, 20, 50)),
     },
     "acquisition": {
         "n_sources": (int, REQUIRED), "source_depth": (float, REQUIRED),
@@ -164,7 +164,8 @@ class RunConfig:
         if not self.path.is_file():
             raise FileNotFoundError(f"config file not found: {self.path}")
         parser = configparser.ConfigParser(
-            comment_prefixes=("#",), inline_comment_prefixes=("#",), delimiters=("=",)
+            comment_prefixes=("#",), inline_comment_prefixes=("#",), delimiters=("=",),
+            interpolation=None,  # a `%` in a value is taken literally
         )
         try:
             self._text = self.path.read_text(encoding="utf-8")
@@ -255,11 +256,7 @@ class RunConfig:
             hx=self["grid", "hx"], hz=self["grid", "hz"],
             x0=self["grid", "x0"], z0=self["grid", "z0"],
         )
-        model = make_salt_model(spec, grid)
-        noise = self["model", "noise_percent"]
-        if noise > 0.0:
-            model = add_model_noise(model, noise, seed)
-        return model
+        return add_model_noise(make_salt_model(spec, grid), self["model", "noise_percent"], seed)
 
     @_config_values
     def load_model(self, relpath: str) -> Model:
@@ -280,6 +277,18 @@ class RunConfig:
             spec=None if nodal else self.diffusion_spec(),
             nodal=nodal,
         )
+
+    @_config_values
+    def dataset(self) -> FrequencyDataset:
+        """The [data] path dataset; a ConfigError unless it holds every
+        configured frequency."""
+        path = self.resolve(self["data", "path"])
+        if not path.is_dir():
+            raise FileNotFoundError(f"dataset directory not found: {path}")
+        dataset = load_dataset(path)
+        for freq in self["data", "frequencies"]:
+            dataset.frequency_index(freq)  # raises GridError for a missing one
+        return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -315,48 +324,44 @@ def cmd_forward(cfg: RunConfig, seed: int) -> int:
 
 
 def cmd_decompose(cfg: RunConfig, seed: int) -> int:
+    """Sweep [spec] beta_list for one η and write decomposition_report.csv
+    (also printed): a header line `beta,err_N<n>,...`; one row per β with
+    the relative error at each N of [spec] n_list, every cell `failed` for
+    a β whose basis could not be built; one `best_N<n> = <error> at beta =
+    <β>` line per N, the first β winning a tie.  recon_N<n>.ewf and .pgm
+    come from that best β's basis.  One basis is alive at a time; when
+    every β fails, EigenSolveError is raised before anything is written.
+    """
     model = cfg.load_model(cfg["model", "path"])
     kind = cfg["spec", "eta"]
-    n_list = cfg["spec", "n_list"] or (10, 20, 50)
-    betas = cfg.beta_list(kind)
-    n_max = max(n_list)
-
-    def sweep(beta: float):
+    n_list = cfg["spec", "n_list"]
+    lines = ["beta" + "".join(f",err_N{n}" for n in n_list)]
+    best = {}  # n -> (error, beta, reconstruction)
+    for beta in cfg.beta_list(kind):
         # an extreme scaling can make the diffusion LU singular or defeat the
         # eigensolver's residual contract; such a beta drops out of the sweep
         # instead of killing it
         try:
-            basis = build_basis(model.field, DiffusionSpec(kind=kind, beta=beta), n_max)
+            basis = build_basis(model.field, DiffusionSpec(kind=kind, beta=beta), max(n_list))
         except (DiffusionError, EigenSolveError):
-            return None, None
-        return [
-            relative_error(model.field, reconstruct(project(model.field, basis, n)))
-            for n in n_list
-        ], basis
-
-    results = [sweep(b) for b in betas]
-
-    if all(r[0] is None for r in results):
+            lines.append(f"{beta:.17g}" + ",failed" * len(n_list))
+            continue
+        recons = [reconstruct(project(model.field, basis, n)) for n in n_list]
+        del basis  # freed before the next beta's build
+        errors = [relative_error(model.field, recon) for recon in recons]
+        lines.append(f"{beta:.17g}" + "".join(f",{e:.17g}" for e in errors))
+        for n, err, recon in zip(n_list, errors, recons):
+            if n not in best or err < best[n][0]:
+                best[n] = (err, beta, recon)
+    if not best:
         raise EigenSolveError(f"every beta in the sweep failed for {kind}")
-    errors = np.array(
-        [r[0] if r[0] is not None else [np.inf] * len(n_list) for r in results]
-    )  # (n_beta, n_N)
-    lines = ["beta" + "".join(f",err_N{n}" for n in n_list)]
-    for b, row in zip(betas, errors):
-        cells = "".join("," + ("failed" if not np.isfinite(e) else f"{e:.17g}") for e in row)
-        lines.append(f"{b:.17g}" + cells)
-    best_rows = errors.argmin(axis=0)
-    for j, n in enumerate(n_list):
-        i = int(best_rows[j])
-        lines.append(f"best_N{n} = {errors[i, j]:.17g} at beta = {betas[i]:.17g}")
+    lines += [f"best_N{n} = {best[n][0]:.17g} at beta = {best[n][1]:.17g}" for n in n_list]
 
     out = fileio.ensure_dir(cfg.resolve(cfg["output", "dir"]))
     report = "\n".join(lines) + "\n"
     (out / "decomposition_report.csv").write_text(report, encoding="ascii")
     print(report, end="")
-    for j, n in enumerate(n_list):
-        basis = results[int(best_rows[j])][1]
-        recon = reconstruct(project(model.field, basis, n))
+    for n, (_, _, recon) in best.items():
         fileio.write_field(out / f"recon_N{n:04d}.ewf", recon)
         fileio.write_pgm(out / f"recon_N{n:04d}.pgm", recon)
     return EXIT_OK
@@ -364,10 +369,7 @@ def cmd_decompose(cfg: RunConfig, seed: int) -> int:
 
 def cmd_invert(cfg: RunConfig, seed: int) -> int:
     config = cfg.inversion()
-    ds_path = cfg.resolve(cfg["data", "path"])
-    if not ds_path.is_dir():
-        raise FileNotFoundError(f"dataset directory not found: {ds_path}")
-    dataset = load_dataset(ds_path)
+    dataset = cfg.dataset()
     m_start = cfg.load_model(cfg["model", "start_path"])
     final, history = run_inversion(config, dataset, m_start)
     out = fileio.ensure_dir(cfg.resolve(cfg["output", "dir"]))
@@ -385,7 +387,7 @@ def cmd_invert(cfg: RunConfig, seed: int) -> int:
 def cmd_dump_basis(cfg: RunConfig, seed: int) -> int:
     model = cfg.load_model(cfg["model", "path"])
     spec = cfg.diffusion_spec()
-    n = max(cfg["spec", "n_list"] or (50,))
+    n = max(cfg["spec", "n_list"])
     basis = build_basis(model.field, spec, n)
     out = fileio.ensure_dir(cfg.resolve(cfg["output", "dir"]))
     save_basis(out / "basis", basis)

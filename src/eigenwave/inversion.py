@@ -368,7 +368,9 @@ def run_inversion(
     last_time = perf_counter()
     grid = m_start.grid
     history = InversionHistory()
-    blocks = config.blocks()
+    # (dataset index, N) per block, looked up first: a frequency missing
+    # from the dataset fails before the basis is built
+    blocks = [(dataset.frequency_index(freq), n) for freq, n in config.blocks()]
     if config.nodal:
         basis = None
         x = np.array(m_start.m)
@@ -417,8 +419,7 @@ def run_inversion(
         )
         last_factor, last_time = evaluator.n_factor, now
 
-    for b, (freq, n_active) in enumerate(blocks):
-        index = dataset.frequency_index(freq)
+    for b, (index, n_active) in enumerate(blocks):
         x = np.concatenate([x, np.zeros(max(n_active - x.size, 0))])
         # a fresh state per block: no CG direction and no warm start carry over
         state = NLCGState(x=x, value=eval_value(x), grad=eval_grad(x))

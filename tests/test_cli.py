@@ -1,8 +1,10 @@
 import pytest
 
+from eigenwave import cli, inversion
 from eigenwave.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from eigenwave.dataset import load_dataset
-from eigenwave.eigenbasis import load_basis
+from eigenwave.diffusion import DiffusionSpec
+from eigenwave.eigenbasis import build_basis, load_basis, project, reconstruct
 from eigenwave.fileio import MANIFEST_NAME, read_field, write_field
 from eigenwave.grid import Grid2D, ScalarField
 from eigenwave.inversion import InversionHistory
@@ -108,6 +110,28 @@ def test_synth_then_invert(synth_dir):
     assert len(lines) == 1 + 3 * 3  # entry plus two steps per block
     final = read_field(synth_dir / "inv" / "final_model.ewf")
     assert final.grid == Grid2D(nx=24, nz=12, hx=50.0, hz=50.0)
+
+
+def test_nodal_invert(synth_dir, monkeypatch):
+    def no_basis(*args):
+        raise AssertionError("a nodal inversion built a basis")
+
+    monkeypatch.setattr(inversion, "build_basis", no_basis)
+    cfg = invert_config(synth_dir, "synth/dataset", "inv_nodal")
+    path = synth_dir / "inv_nodal.ini"
+    path.write_text(path.read_text().replace("n_iter = 2\n", "n_iter = 2\nnodal = true\n"))
+    assert main(["invert", "--config", cfg]) == EXIT_OK
+    lines = (synth_dir / "inv_nodal" / "history.csv").read_text().strip().splitlines()
+    assert len(lines) == 1 + 3 * 3  # entry plus two steps per frequency
+
+
+def test_frequency_missing_from_dataset_is_config_error(synth_dir, capsys):
+    assert main(["forward", "--config", forward_config(synth_dir, "fwd_4_6")]) == EXIT_OK
+    cfg = invert_config(synth_dir, "fwd_4_6/dataset", "inv_missing_freq")
+    assert main(["invert", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}") and "5.0 Hz not in dataset (4.0, 6.0)" in err
+    assert not (synth_dir / "inv_missing_freq").exists()
 
 
 @pytest.mark.parametrize(
@@ -231,6 +255,40 @@ def test_decompose_drops_beta_with_singular_diffusion_lu(synth_dir):
     assert [float(r[0]) for r in rows] == [1e-7, 0.1]
     assert rows[0][1:] == ["failed", "failed"] and "failed" not in rows[1]
     assert all(line.endswith(f"at beta = {0.1:.17g}") for line in report[3:])
+    model = read_field(synth_dir / "synth" / "model_true.ewf")
+    basis = build_basis(model, DiffusionSpec("eta2", 0.1), 10)
+    for n in (5, 10):
+        recon = read_field(synth_dir / "dec_eta2" / f"recon_N{n:04d}.ewf")
+        assert recon.values.tobytes() == reconstruct(project(model, basis, n)).values.tobytes()
+
+
+def test_decompose_with_every_beta_failed_writes_nothing(synth_dir, capsys):
+    cfg = basis_config(synth_dir, "dec_all_failed", eta="eta2")
+    path = synth_dir / "dec_all_failed.ini"
+    path.write_text(path.read_text().replace("beta_list = 0.01 0.1 1", "beta_list = 1e-7"))
+    assert main(["decompose", "--config", cfg]) == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == "" and "every beta in the sweep failed for eta2" in err
+    assert not (synth_dir / "dec_all_failed").exists()
+
+
+def test_decompose_beta_free_kind_has_one_row(synth_dir):
+    # eta9 ignores beta_list and sweeps beta = 1 alone, at the default n_list
+    cfg = basis_config(synth_dir, "dec_eta9", eta="eta9")
+    path = synth_dir / "dec_eta9.ini"
+    path.write_text(path.read_text().replace("n_list = 5 10\n", ""))
+    assert main(["decompose", "--config", cfg]) == EXIT_OK
+    report = (synth_dir / "dec_eta9" / "decomposition_report.csv").read_text().splitlines()
+    assert report[0] == "beta,err_N10,err_N20,err_N50"
+    assert len(report) == 1 + 1 + 3 and report[1].split(",")[0] == "1"
+    assert all(line.endswith("at beta = 1") for line in report[2:])
+
+
+def test_decompose_tie_goes_to_the_first_beta(synth_dir, monkeypatch):
+    monkeypatch.setattr(cli, "relative_error", lambda m, recon: 1.0)
+    assert main(["decompose", "--config", basis_config(synth_dir, "dec_tie")]) == EXIT_OK
+    report = (synth_dir / "dec_tie" / "decomposition_report.csv").read_text().splitlines()
+    assert report[4:] == [f"best_N{n} = 1 at beta = {0.01:.17g}" for n in (5, 10)]
 
 
 def test_threads_flag_is_gone(synth_dir, capsys):
@@ -285,6 +343,7 @@ BAD_VALUES = [
     ("synth", "domes = 600,300,200,100,2400", "domes = 600,300,200,100,9000", "dome speed"),
     ("synth", "domes = 600,300,200,100,2400", "domes = 600,300,200,abc,2400", "'abc'"),
     ("synth", "c_max = 5000", "c_max = 5000\nnoise_percent = 150", "noise percent"),
+    ("synth", "c_max = 5000", "c_max = 5000\nnoise_percent = -5", "noise percent"),
     ("synth", "nx = 24", "nx = 2", "at least 3x3"),
     ("synth", "n_sources = 3", "n_sources = 3\nsource_amplitude = abc", "malformed"),
     ("synth", "snr_db = 40", "snr_db = inf", "must be finite"),
@@ -292,15 +351,20 @@ BAD_VALUES = [
     ("synth", "frequencies = 4 5 6", "frequencies = 5 4", "increasing"),
     ("synth", "source_x1 = 1000", "source_x1 = 5000", "outside grid"),
     ("invert", "frequencies = 4 5 6", "frequencies = 0 5", "finite and positive"),
+    ("invert", "n_iter = 2", "n_iter = 2\nnodal = maybe", "not a boolean"),
+    ("synth", "c_top = 1500", "# c_top unset", "missing [model] c_top"),
 ]
 
 
 @pytest.mark.parametrize(
-    "command, line, bad, message",
-    [pytest.param(*case, id=f"{case[0]}:{case[2].splitlines()[-1]}") for case in BAD_VALUES],
+    "case, command, line, bad, message",
+    [
+        pytest.param(i, *case, id=f"{case[0]}:{case[2].splitlines()[-1]}")
+        for i, case in enumerate(BAD_VALUES)
+    ],
 )
-def test_bad_value_is_config_error(synth_dir, capsys, command, line, bad, message):
-    out = "bad_value"
+def test_bad_value_is_config_error(synth_dir, capsys, case, command, line, bad, message):
+    out = f"bad_value_{case}"  # its own directory: a case that wrongly writes fails alone
     cfg = {
         "synth": lambda: synth_config(synth_dir, out),
         "invert": lambda: invert_config(synth_dir, "no_such_dataset", out),
@@ -367,3 +431,8 @@ def test_schema_error_names_its_line(tmp_path, capsys, text, where):
     path.write_text(text, encoding="utf-8")
     assert main(["synth", "--config", str(path)]) == EXIT_CONFIG
     assert f"config error: {path}:{where}\n" in capsys.readouterr().err
+
+
+def test_percent_sign_in_a_value_is_literal(tmp_path):
+    assert main(["synth", "--config", synth_config(tmp_path, "out%1")]) == EXIT_OK
+    assert (tmp_path / "out%1" / "model_true.ewf").is_file()

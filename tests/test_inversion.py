@@ -302,6 +302,27 @@ class TestNLCG:
         np.testing.assert_allclose(trials, [[100.0, 200.0], [0.05, 0.0]], rtol=1e-15)
         assert info.step == pytest.approx(0.05, rel=1e-15)
 
+    def test_failed_search_without_cg_direction_fails_the_state(self):
+        # a fresh state has no CG direction, so a search that fails is not
+        # retried along steepest descent
+        target = np.array([1.0, -2.0])
+        x0 = np.zeros(2)
+        state = NLCGState(x=x0.copy(), value=0.5, grad=x0 - target)
+        cfg = quadratic_config()
+        trials = []
+
+        def rising(x):
+            trials.append(x.copy())
+            return state.value + 1.0
+
+        info = nlcg_step(state, rising, lambda x: x - target, cfg, step_norm_floor=1.0)
+        assert state.failed and not info.accepted and not info.was_reset
+        assert info.step == 0.0 and info.n_backtracks == cfg.ls_max_backtracks + 1
+        assert len(trials) == cfg.ls_max_backtracks + 1
+        assert info.dir_deriv == -float(target @ target)
+        np.testing.assert_array_equal(state.x, x0)
+        assert state.dir_prev is None and state.last_step is None
+
     def test_zero_gradient_is_noop(self):
         x = np.ones(3)
         state = NLCGState(x=x.copy(), value=0.0, grad=np.zeros(3))
@@ -399,6 +420,39 @@ class TestRunInversion:
         )
         run_inversion(cfg, ds, m_start)
         assert builds == [6]  # once, at the largest N of the schedule
+
+    def test_missing_frequency_fails_before_the_basis(self, fwi_setup, monkeypatch):
+        g, m_true, m_start, ds = fwi_setup
+        builds = count_basis_builds(monkeypatch)
+        cfg = InversionConfig(
+            frequencies=(6.0, 7.0), n_schedule=(4,), n_iter=2, spec=DiffusionSpec("eta3", 0.05)
+        )
+        with pytest.raises(GridError, match="frequency 7.0 Hz not in dataset"):
+            run_inversion(cfg, ds, m_start)
+        assert builds == []
+
+    def test_failed_search_ends_its_block(self, fwi_setup, monkeypatch):
+        # every trial of block 0 rises; block 1 still runs all its iterations
+        g, m_true, m_start, ds = fwi_setup
+        cfg = InversionConfig(
+            frequencies=(6.0,), n_schedule=(3, 5), n_iter=3, spec=DiffusionSpec("eta3", 0.05)
+        )
+        step = inversion.nlcg_step
+
+        def failing_in_block_0(state, eval_value, *args, **kwargs):
+            if state.x.size == 3:
+                return step(state, lambda x: state.value + 1.0, *args, **kwargs)
+            return step(state, eval_value, *args, **kwargs)
+
+        monkeypatch.setattr(inversion, "nlcg_step", failing_in_block_0)
+        _, hist = run_inversion(cfg, ds, m_start)
+        block0 = [r for r in hist.records if r.block == 0]
+        block1 = [r for r in hist.records if r.block == 1]
+        assert [r.iteration for r in block0] == [0, 1]
+        assert not block0[1].accepted and block0[1].n_backtracks == cfg.ls_max_backtracks + 1
+        assert block0[1].misfit == block0[0].misfit
+        assert [r.iteration for r in block1] == [0, 1, 2, 3]
+        assert [b for b, _ in hist.snapshots] == [0, 1]
 
     def test_nodal_mode_runs(self, fwi_setup, monkeypatch):
         g, m_true, m_start, ds = fwi_setup
