@@ -275,7 +275,6 @@ class RunConfig:
             frequencies=self["data", "frequencies"], n_iter=self["inversion", "n_iter"],
             n_schedule=() if nodal else self["inversion", "n_schedule"],
             spec=None if nodal else self.diffusion_spec(),
-            nodal=nodal,
         )
 
     @_config_values

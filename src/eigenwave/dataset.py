@@ -33,8 +33,8 @@ def check_frequencies(frequencies) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class FrequencyDataset:
-    """Per (frequency, source) complex receiver traces, frequencies as
-    check_frequencies accepts them."""
+    """Per (frequency, source) complex receiver traces, all finite, and
+    frequencies as check_frequencies accepts them."""
 
     acquisition: Acquisition
     frequencies: tuple[float, ...]
@@ -47,6 +47,8 @@ class FrequencyDataset:
         shape = (len(freqs), self.acquisition.n_sources, self.acquisition.n_receivers)
         if arr.shape != shape:
             raise GridError(f"data must have shape {shape}, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise GridError("receiver traces must be finite")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "frequencies", freqs)
@@ -90,7 +92,7 @@ def load_dataset(directory: str | os.PathLike) -> FrequencyDataset:
     part of the three lists, a missing `snr_db =` line or list, a value that
     is not a number, a source entry without 4 numbers or a receiver entry
     without 2, sources or receivers that Acquisition rejects, frequencies
-    that FrequencyDataset rejects, and a traces.c16 whose size is not 16
+    or traces that FrequencyDataset rejects, and a traces.c16 whose size is not 16
     bytes per (frequency, source, receiver) that the lists give, which is
     how a dropped list entry shows.
     """

@@ -106,7 +106,8 @@ def read_manifest(directory: str | os.PathLike, keys: tuple, lists: tuple = ()) 
 
     A line that is neither `key = value` for one of `keys`, nor `name =`
     for one of `lists`, nor an indented entry after such a line, raises
-    FieldFileError, as does a key or list that no line names.
+    FieldFileError, as does a key or list that no line names or that two
+    lines name.
     """
     path = Path(directory) / MANIFEST_NAME
     found: dict = {}
@@ -117,6 +118,8 @@ def read_manifest(directory: str | os.PathLike, keys: tuple, lists: tuple = ()) 
         key, sep, value = (t.strip() for t in line.partition("="))
         if entries is not None and line[0].isspace():
             entries.append(line.strip())
+        elif sep and key in found:
+            raise FieldFileError(f"{path}: repeated '{key} =' line")
         elif sep and key in lists and not value:
             entries = found[key] = []
         elif sep and key in keys:

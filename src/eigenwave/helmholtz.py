@@ -10,8 +10,8 @@ top corners are Dirichlet.
 So the rows come from the flux stencil (Kx, Kz) of grid.flux_stencil at
 eta = 1: interior rows are Kx + Kz, side-edge rows Kx, bottom rows Kz,
 Dirichlet rows identity rows, and the model adds a diagonal.  These rows
-and the row masks are cached per (grid, layout), and every operator
-shares their read-only index arrays.  In one measurement the cache took
+and the row masks are cached per grid, and every operator shares their
+read-only index arrays.  In one measurement the cache took
 9 ms to build at 161x81 (25 ms at 321x161), about one whole assembly
 without it (7 ms, 31 ms); an assembly from it takes 0.4 ms (1.6 ms).
 
@@ -133,8 +133,7 @@ class Acquisition:
 class HelmholtzOperator:
     """Assembled sparse operator plus the data needed for its exact m-derivative.
 
-    The Dirichlet rows, the top row or under all_dirichlet every edge row,
-    are identity rows.
+    The Dirichlet rows, those of the top row, are identity rows.
     """
 
     grid: Grid2D
@@ -154,11 +153,11 @@ class HelmholtzOperator:
     def solve_array(self, rhs_cols: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Solve A u = f, or A^H q = f when adjoint, for every rhs column.
 
-        rhs_cols is one dense (n_nodes,) vector or an (n_nodes, k) column
-        stack; the solution has the same shape, and a stack comes back in
-        Fortran order.  All calls share one factorization, made on the
-        calling thread; no lane keeps a reference to it once the call
-        returns, so it is dropped where it was made.  The columns are solved in slabs of SLAB_COLUMNS
+        rhs_cols is a dense (n_nodes, k) column stack, any other shape
+        raises GridError; the (n_nodes, k) solution comes back in Fortran
+        order.  All calls share one factorization, made on the calling
+        thread; no lane keeps a reference to it once the call returns, so
+        it is dropped where it was made.  The columns are solved in slabs of SLAB_COLUMNS
         on up to one lane per CPU, each lane taking the next unsolved
         slab from a queue the lanes share (see the module docstring), so
         the lane count changes no bit of the result.  Each column must
@@ -166,10 +165,9 @@ class HelmholtzOperator:
         of iterative refinement of its slab if needed, or SolveError is
         raised, also when the slab ran on a worker lane.
         """
-        rhs = np.asarray(rhs_cols, dtype=np.complex128)
-        if rhs.ndim not in (1, 2) or rhs.shape[0] != self.grid.n_nodes:
-            raise GridError(f"rhs shape {rhs.shape} does not match {self.grid.n_nodes} grid nodes")
-        block = rhs[:, None] if rhs.ndim == 1 else rhs
+        block = np.asarray(rhs_cols, dtype=np.complex128)
+        if block.ndim != 2 or block.shape[0] != self.grid.n_nodes:
+            raise GridError(f"rhs shape {block.shape} is not ({self.grid.n_nodes} grid nodes, k)")
         lu = self.factor()
         trans = "H" if adjoint else "N"
         op = self.matrix.getH() if adjoint else self.matrix
@@ -179,7 +177,7 @@ class HelmholtzOperator:
             sols[:, cols] = _solve_slab(lu, op, block[:, cols], trans)
 
         _run_lanes(block.shape[1], solve)
-        return sols[:, 0] if rhs.ndim == 1 else sols
+        return sols
 
 
 def _solve_slab(lu: spla.SuperLU, op: sp.spmatrix, slab: np.ndarray, trans: str) -> np.ndarray:
@@ -317,17 +315,17 @@ if hasattr(os, "register_at_fork"):  # POSIX; elsewhere nothing forks
 
 
 @functools.lru_cache(maxsize=4)
-def _fixed_rows(grid: Grid2D, all_dirichlet: bool):
-    """The model-independent part of assemble for one (grid, layout): the
-    real stencil matrix, the position of each row's diagonal in its data,
+def _fixed_rows(grid: Grid2D):
+    """The model-independent part of assemble for one grid: the real
+    stencil matrix, the position of each row's diagonal in its data,
     the interior row mask and (rows, h) per outgoing edge, all read-only,
     since every operator on the grid shares them."""
     n = grid.n_nodes
     interior = grid.interior_mask()
     ix, iz = np.tile(np.arange(grid.nx), grid.nz), np.repeat(np.arange(grid.nz), grid.nx)
-    dirichlet = ~interior if all_dirichlet else iz == 0
+    dirichlet = iz == 0
     side = ((ix == 0) | (ix == grid.nx - 1)) & ~dirichlet  # with the bottom corners
-    bottom = (iz == grid.nz - 1) & ~dirichlet & ~side
+    bottom = (iz == grid.nz - 1) & ~side
     kx, kz = flux_stencil(ScalarField(grid, np.ones(n)))
 
     def rows(mask):  # a sparse product stores no zeros, so the other rows drop out
@@ -340,17 +338,13 @@ def _fixed_rows(grid: Grid2D, all_dirichlet: bool):
     return stencil, diagonal, interior, ((side, grid.hx), (bottom, grid.hz))
 
 
-def assemble(model: Model, omega: float, all_dirichlet: bool = False) -> HelmholtzOperator:
-    """Build the sparse Helmholtz matrix for a model at angular frequency omega.
-
-    With all_dirichlet=True every boundary row becomes an identity row
-    (used for manufactured-solution verification); the default is the
-    free-surface/absorbing layout described in the module docstring.
-    """
+def assemble(model: Model, omega: float) -> HelmholtzOperator:
+    """Build the sparse Helmholtz matrix for a model at angular frequency
+    omega, in the free-surface/absorbing layout of the module docstring."""
     if omega <= 0.0:
         raise GridError(f"omega must be positive, got {omega}")
     g, m = model.grid, model.m
-    stencil, diagonal, interior, outgoing = _fixed_rows(g, all_dirichlet)
+    stencil, diagonal, interior, outgoing = _fixed_rows(g)
     diag = np.zeros(g.n_nodes, dtype=np.complex128)
     ddiag = np.zeros(g.n_nodes, dtype=np.complex128)
     diag[interior] = -(omega ** 2) * m[interior]

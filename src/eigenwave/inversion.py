@@ -65,8 +65,9 @@ class InversionConfig:
     = 0.5, and a search gives up after ls_max_backtracks = 20 backtracks.
     The paper's inversion is one fixed PR+ run over the schedule, and no
     run of the package or its benchmark used other values, so the four are
-    class constants: a run chooses only its schedule, its eta spec and
-    nodal or eigenbasis mode.  nlcg_step reads them from its config.
+    class constants: a run chooses only its schedule and its eta spec, and
+    with no spec it is nodal, takes no N schedule and optimizes every node
+    value.  nlcg_step reads the four from its config.
     """
 
     armijo_c1: ClassVar[float] = 1e-4
@@ -78,7 +79,6 @@ class InversionConfig:
     n_schedule: tuple[int, ...] = ()
     n_iter: int = 30
     spec: DiffusionSpec | None = None
-    nodal: bool = False
 
     def __post_init__(self):
         freqs = check_frequencies(self.frequencies)
@@ -89,18 +89,17 @@ class InversionConfig:
             raise GridError(f"N schedule must be nondecreasing, got {sched}")
         if self.n_iter < 0:
             raise GridError("n_iter must be nonnegative")
-        if not self.nodal:
-            if self.spec is None:
-                raise GridError("eigenbasis mode needs a DiffusionSpec")
-            if not sched or any(n < 1 for n in sched):
-                raise GridError("eigenbasis mode needs a positive N schedule")
+        if self.spec is None and sched:
+            raise GridError("an N schedule needs a DiffusionSpec (eigenbasis mode)")
+        if self.spec is not None and (not sched or any(n < 1 for n in sched)):
+            raise GridError("eigenbasis mode needs a positive N schedule")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "n_schedule", sched)
         self.blocks()  # raises when the schedules cannot pair
 
     def blocks(self) -> list[tuple[float, int]]:
-        """(frequency, N) per optimization block."""
-        if self.nodal:
+        """(frequency, N) per optimization block; N is 0 in nodal mode."""
+        if self.spec is None:
             return [(f, 0) for f in self.frequencies]
         if len(self.frequencies) == len(self.n_schedule):
             return list(zip(self.frequencies, self.n_schedule))
@@ -113,10 +112,6 @@ class InversionConfig:
             f"{len(self.n_schedule)} schedule entries"
         )
 
-    @property
-    def n_max(self) -> int:
-        return max(self.n_schedule) if self.n_schedule else 0
-
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -125,7 +120,7 @@ class IterationRecord:
     misfit: float
     step: float
     dir_deriv: float
-    n_active: int
+    n_active: int  # unknowns: N, or every node in nodal mode
     n_clamped: int
     accepted: bool
     n_backtracks: int = 0
@@ -371,11 +366,11 @@ def run_inversion(
     # (dataset index, N) per block, looked up first: a frequency missing
     # from the dataset fails before the basis is built
     blocks = [(dataset.frequency_index(freq), n) for freq, n in config.blocks()]
-    if config.nodal:
+    if config.spec is None:
         basis = None
         x = np.array(m_start.m)
     else:
-        basis = build_basis(m_start.field, config.spec, config.n_max)
+        basis = build_basis(m_start.field, config.spec, max(config.n_schedule))
         x = np.array(project(m_start.field, basis, blocks[0][1]).alpha[: blocks[0][1]])
 
     def values_of(xvec: np.ndarray) -> np.ndarray:
@@ -390,7 +385,7 @@ def run_inversion(
     if config.n_iter == 0:
         return clamped(x)[0], history
 
-    # eval_value, eval_grad and log read the block loop's b, n_active and index
+    # eval_value, eval_grad and log read the block loop's b and index
     evaluator = MisfitEvaluator(dataset, grid)
     last_factor = 0
 
@@ -409,7 +404,7 @@ def run_inversion(
         now = perf_counter()
         history.records.append(
             IterationRecord(
-                block=b, iteration=iteration, misfit=state.value, n_active=n_active,
+                block=b, iteration=iteration, misfit=state.value, n_active=state.x.size,
                 n_clamped=clamped(state.x)[1],
                 n_factor=evaluator.n_factor - last_factor,
                 wall_s=now - last_time,

@@ -1,8 +1,16 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import eigenwave
 from eigenwave import cli, inversion
 from eigenwave.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
-from eigenwave.dataset import load_dataset
+from eigenwave.dataset import TRACES_NAME, load_dataset
 from eigenwave.diffusion import DiffusionSpec
 from eigenwave.eigenbasis import build_basis, load_basis, project, reconstruct
 from eigenwave.fileio import MANIFEST_NAME, read_field, write_field
@@ -123,6 +131,8 @@ def test_nodal_invert(synth_dir, monkeypatch):
     assert main(["invert", "--config", cfg]) == EXIT_OK
     lines = (synth_dir / "inv_nodal" / "history.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 3 * 3  # entry plus two steps per frequency
+    column = lines[0].split(",").index("n_active")
+    assert {line.split(",")[column] for line in lines[1:]} == {str(24 * 12)}  # every node
 
 
 def test_frequency_missing_from_dataset_is_config_error(synth_dir, capsys):
@@ -175,6 +185,19 @@ def test_dropped_frequency_line_is_io_error(synth_dir):
         (bad / path.name).write_bytes(text)
     cfg = invert_config(synth_dir, "bad_dataset", "inv_bad")
     assert main(["invert", "--config", cfg]) == EXIT_IO
+
+
+def test_non_finite_traces_are_io_error(synth_dir, capsys):
+    src = synth_dir / "synth" / "dataset"
+    bad = synth_dir / "nan_dataset"
+    shutil.copytree(src, bad)
+    traces = np.fromfile(bad / TRACES_NAME, dtype="<c16")
+    traces[5] = np.nan
+    traces.tofile(bad / TRACES_NAME)
+    cfg = invert_config(synth_dir, "nan_dataset", "inv_nan")
+    assert main(["invert", "--config", cfg]) == EXIT_IO
+    assert "finite" in capsys.readouterr().err
+    assert not (synth_dir / "inv_nan").exists()
 
 
 def forward_config(root, out, snr_line="snr_db = 30"):
@@ -306,6 +329,26 @@ def test_help_gives_blas_advice(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "OPENBLAS_NUM_THREADS=1" in out and "--threads" not in out
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["--help"], EXIT_OK, "usage: eigenwave"),
+        (["synth", "--config", "no_model.ini"], EXIT_CONFIG, "missing [model]"),
+        (["synth", "--config", "no_such.ini"], EXIT_IO, "no_such.ini"),
+    ],
+    ids=["help", "missing_key", "missing_file"],
+)
+def test_module_entry_point_exit_codes(tmp_path, args, code, message):
+    write_config(tmp_path / "no_model.ini", "")
+    env = {**os.environ, "PYTHONPATH": str(Path(eigenwave.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "eigenwave.cli", *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stdout + proc.stderr
 
 
 def test_dump_basis_round_trip(synth_dir):

@@ -93,6 +93,25 @@ def test_missing_list_line_rejected(saved):
         load_dataset(root)
 
 
+def test_repeated_manifest_line_rejected(saved):
+    _, root = saved
+    edit_manifest(root, lambda lines: lines + ["snr_db = 10.0"])
+    with pytest.raises(FieldFileError, match="repeated 'snr_db =' line"):
+        load_dataset(root)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_traces_rejected(saved, bad):
+    ds, root = saved
+    data = ds.data.copy()
+    data[1, 0, 2] = bad
+    with pytest.raises(GridError, match="finite"):
+        replace(ds, data=data)
+    (root / TRACES_NAME).write_bytes(data.astype("<c16").tobytes())
+    with pytest.raises(FieldFileError, match="finite"):
+        load_dataset(root)
+
+
 @pytest.mark.parametrize(
     "old, new", [("  7.0", "  nan"), ("  7.0", "  -7.0"), ("  9.0", "  6.0")],
     ids=["nan", "negative", "decreasing"],

@@ -409,6 +409,16 @@ class TestArchive:
         m0 = (np.arange(12.0) / 3.0).astype("<f8").tobytes()
         assert (root / "m0.ewf").read_bytes() == b"EWF1 4 3 12.5 7.5 100.0 -4.0\n" + m0
 
+    def test_repeated_manifest_key_rejected(self, tmp_path):
+        # a second `beta =` line must not silently override the first
+        g = Grid2D(nx=6, nz=6, hx=1.0, hz=1.0)
+        basis = build_basis(field(g, np.linspace(1, 2, 36)), DiffusionSpec("eta4", 0.05), 3)
+        root = save_basis(tmp_path / "b", basis)
+        path = root / MANIFEST_NAME
+        path.write_text(path.read_text().replace("beta = 0.05\n", "beta = 0.05\nbeta = 0.5\n"))
+        with pytest.raises(FieldFileError, match="repeated 'beta =' line"):
+            load_basis(root)
+
     def test_manifest_lists_eigenvalues(self, tmp_path):
         g = Grid2D(nx=6, nz=6, hx=1.0, hz=1.0)
         basis = build_basis(field(g, np.linspace(1, 2, 36)), DiffusionSpec("eta9"), 4)

@@ -192,6 +192,8 @@ def test_failed_swap_restores_the_old_archive(tmp_path, monkeypatch):
         ("k = 1\nxs = 4\n", "unrecognized line 'xs = 4'"),  # a list header with a value
         ("xs =\n  1\n", "missing 'k ='"),
         ("k = 1\n", "missing 'xs ='"),
+        ("k = 1\nk = 2\nxs =\n", "repeated 'k =' line"),
+        ("k = 1\nxs =\n  1\nxs =\n  2\n", "repeated 'xs =' line"),
     ],
 )
 def test_read_manifest_rejects(tmp_path, text, message):

@@ -457,10 +457,13 @@ class TestRunInversion:
     def test_nodal_mode_runs(self, fwi_setup, monkeypatch):
         g, m_true, m_start, ds = fwi_setup
         builds = count_basis_builds(monkeypatch)
-        cfg = InversionConfig(frequencies=(6.0,), n_iter=4, nodal=True)
+        cfg = InversionConfig(frequencies=(6.0,), n_iter=4)
+        assert cfg.blocks() == [(6.0, 0)]
         final, hist = run_inversion(cfg, ds, m_start)
         assert hist.records[-1].misfit <= hist.records[0].misfit
         assert builds == []
+        # every node is an unknown, and the history says so
+        assert [r.n_active for r in hist.records] == [g.n_nodes] * len(hist.records)
 
     def test_history_csv_round_trip(self, fwi_setup, tmp_path):
         g, m_true, m_start, ds = fwi_setup
@@ -572,7 +575,7 @@ class TestRunInversion:
         spec = DiffusionSpec("eta3", 0.05)
         cfg = InversionConfig(
             frequencies=(6.0,), n_schedule=() if nodal else (6,), n_iter=3,
-            spec=None if nodal else spec, nodal=nodal,
+            spec=None if nodal else spec,
         )
         seen = []
         step = inversion.nlcg_step
@@ -651,7 +654,7 @@ class TestConfigValidation:
             InversionConfig(frequencies=(2.0,), n_schedule=(5, 3), spec=DiffusionSpec("eta9"))
 
     def test_eigen_mode_needs_spec_and_schedule(self):
-        with pytest.raises(GridError):
+        with pytest.raises(GridError, match="needs a DiffusionSpec"):
             InversionConfig(frequencies=(2.0,), n_schedule=(5,))
         with pytest.raises(GridError):
             InversionConfig(frequencies=(2.0,), spec=DiffusionSpec("eta9"))

@@ -104,7 +104,7 @@ HIGH_BAND = (4.0, 5.0, 6.0)
 EIGENBASIS_FWI = InversionConfig(
     frequencies=FREQUENCIES, n_schedule=(10, 20, 30), n_iter=5, spec=SPECS["eta4"]
 )
-NODAL_FWI = InversionConfig(frequencies=FREQUENCIES, n_iter=5, nodal=True)
+NODAL_FWI = InversionConfig(frequencies=FREQUENCIES, n_iter=5)
 
 
 @pytest.fixture(scope="module")
