@@ -28,12 +28,15 @@ fill drops from 4.81M to 2.71M; there the cheaper factorization is partly
 offset by slower 64-RHS triangular solves.
 
 solve_array cuts its right-hand sides into slabs of SLAB_COLUMNS columns
-and runs them in lanes: the calling thread is lane 0, and a module-level
+and hands them to the lane runner.  The runner takes a list of work items
+(here slab slices; synthetics.generate_data gives it frequency indices)
+and a cap on its lanes: the calling thread is lane 0, and a module-level
 thread pool, created on first use with one worker per CPU in the
 process's affinity mask beyond the first, runs the others.  The lanes
-pull slabs from one shared queue, so a lane that starts late, or
-never starts because every pool worker is busy with another caller,
-leaves its slabs to the lanes that run.  SuperLU's solve releases the
+pull items from one shared queue, so a lane that starts late, or never
+starts because every pool worker is busy with another caller or with an
+outer lane runner, leaves its items to the lanes that run; lane runners
+nest without waiting on each other.  SuperLU's solve releases the
 GIL, so the lanes run in parallel, and narrow slabs cost no more per
 column than one wide solve: at 321x161 on one core, eight 8-column slabs
 took 0.50-0.90 s against 0.83-0.99 s for one 64-column call, and they
@@ -45,17 +48,19 @@ and core count.  With one BLAS thread a column even comes out with the
 same bits alone, in a slab or in one wide call; a threaded BLAS may
 round the wide supernode updates differently.
 
-The lane runner lets the calling thread run one task of its own before
-it joins the lanes; synthetics.generate_data uses that to assemble and
-factor the next frequency while the worker lanes solve this one.  Every
-SuperLU factorization is made and dropped on the thread that asked for
-it, never on a pool worker, and the runner drops its reference to the
-slab task on the calling thread before it returns, so a worker never
-holds the last reference to an LU.  With scipy 1.17.1 an LU made on a
-worker thread and dropped on the main thread leaked about 48 MB per
-factorization at 321x161 (RSS 141 -> 414 MB over 6 cycles, none of it
-returned by malloc_trim); made and dropped on one thread, RSS stayed
-flat at 81 MB.
+Every SuperLU factorization is made and dropped on one thread.  With
+scipy 1.17.1 an LU made on a worker thread and dropped on the main
+thread leaked about 48 MB per factorization at 321x161 (RSS 141 ->
+414 MB over 6 cycles, none of it returned by malloc_trim); made and
+dropped on one thread, RSS stayed flat at 81 MB.  solve_array factors on
+its calling thread, and the runner drops its reference to the task on
+the calling thread before it returns, so a worker never holds the last
+reference to that LU; synthetics.generate_data factors each frequency on
+the lane that solves it and drops the LU there.  A lane whose task fails
+clears the frames of the error's traceback before passing the error on,
+so an LU that the failed task held in a frame's locals is dropped on
+that lane, not wherever the error ends up.  Clearing leaves each frame's
+function alive, so such a task keeps its LU out of closure cells.
 
 A dropped LU's pages stay resident in glibc's heap, and where the next
 factorization and the slab buffers land among them is left to thread
@@ -72,9 +77,11 @@ import functools
 import os
 import sys
 import threading
-from collections.abc import Callable
+import traceback
+from collections.abc import Callable, Iterable, Sequence
 from concurrent import futures
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,6 +92,8 @@ from .grid import PERMC_SPEC, Grid2D, GridError, Model, ScalarField, flux_stenci
 RESIDUAL_RTOL = 1e-10
 # right-hand-side columns per SuperLU solve call; see solve_array
 SLAB_COLUMNS = 8
+
+_Item = TypeVar("_Item")
 
 
 class SolveError(RuntimeError):
@@ -176,23 +185,21 @@ class HelmholtzOperator:
         def solve(cols: slice) -> None:
             sols[:, cols] = _solve_slab(lu, op, block[:, cols], trans)
 
-        _run_lanes(block.shape[1], solve)
+        _run_lanes(_slabs(block.shape[1]), solve)
         return sols
 
 
 def _solve_slab(lu: spla.SuperLU, op: sp.spmatrix, slab: np.ndarray, trans: str) -> np.ndarray:
     """Solve one slab of columns under the residual contract of solve_array."""
     x = lu.solve(slab, trans=trans)
-    r = op @ x
-    r -= slab
-    bound = RESIDUAL_RTOL * np.maximum(1.0, np.linalg.norm(slab, axis=0))
-    rnorm = np.linalg.norm(r, axis=0)
+    bound = RESIDUAL_RTOL * np.maximum(1.0, [np.linalg.norm(b) for b in slab.T])
+    rnorm = _residual_norms(op, x, slab)
     if np.any(rnorm > bound):
         # one round of iterative refinement before giving up
-        x -= lu.solve(r, trans=trans)
         r = op @ x
         r -= slab
-        rnorm = np.linalg.norm(r, axis=0)
+        x -= lu.solve(r, trans=trans)
+        rnorm = _residual_norms(op, x, slab)
         if np.any(rnorm > bound):
             worst = int(np.argmax(rnorm / bound))
             raise SolveError(
@@ -200,6 +207,18 @@ def _solve_slab(lu: spla.SuperLU, op: sp.spmatrix, slab: np.ndarray, trans: str)
                 f"{bound[worst]:.3e} (likely near-resonant or ill-conditioned operator)"
             )
     return x
+
+
+def _residual_norms(op: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||op x_j - b_j|| for each column j, one column at a time: SuperLU
+    returns x in Fortran order, so each x_j is contiguous and the product
+    copies nothing, and no temporary is larger than one column."""
+    rnorm = np.empty(x.shape[1])
+    for j in range(x.shape[1]):
+        r = op @ x[:, j]
+        r -= b[:, j]
+        rnorm[j] = np.linalg.norm(r)
+    return rnorm
 
 
 # glibc's malloc_trim; None where the C library has none
@@ -225,56 +244,57 @@ def _lane_count() -> int:
     return os.cpu_count() or 1
 
 
-class _SlabQueue:
-    """The slabs of one lane-runner call, shared by its lanes."""
+def _slabs(n_columns: int) -> list[slice]:
+    """The column slices of n_columns columns, SLAB_COLUMNS wide (the last may be narrower)."""
+    return [slice(s, s + SLAB_COLUMNS) for s in range(0, n_columns, SLAB_COLUMNS)]
 
-    def __init__(self, n_columns: int, solve: Callable[[slice], None]):
+
+class _WorkQueue:
+    """The work items of one lane-runner call, shared by its lanes."""
+
+    def __init__(self, items: Iterable[_Item], task: Callable[[_Item], None]):
         self._lock = threading.Lock()
-        self.slabs = [slice(s, s + SLAB_COLUMNS) for s in range(0, n_columns, SLAB_COLUMNS)]
-        self._left = iter(self.slabs)
-        self._solve: Callable[[slice], None] | None = solve
+        self._left = iter(items)
+        self._task: Callable[[_Item], None] | None = task
 
     def drain(self) -> None:
-        """Solve slabs until none is left; a failure stops every lane."""
+        """Run the task on items until none is left; a failure stops every lane."""
         while True:
             with self._lock:
-                slab, solve = next(self._left, None), self._solve
-            if slab is None:
+                item, task = next(self._left, None), self._task
+            if item is None:
                 return
             try:
-                solve(slab)
-            except BaseException:
+                task(item)
+            except BaseException as exc:
                 self.close()
+                # free what the failed task's frames hold on this lane
+                traceback.clear_frames(exc.__traceback__)
                 raise
 
     def close(self) -> None:
-        """Hand out no more slabs and drop the task with what it holds."""
+        """Hand out no more items and drop the task with what it holds."""
         with self._lock:
-            self._left, self._solve = iter(()), None
+            self._left, self._task = iter(()), None
 
 
 def _run_lanes(
-    n_columns: int, solve: Callable[[slice], None], own_task: Callable[[], None] | None = None
+    items: Sequence[_Item], task: Callable[[_Item], None], max_lanes: int | None = None
 ) -> None:
-    """Call solve(cols) for each slab of n_columns columns, on the lanes.
+    """Call task(item) for each item on one lane per CPU, or max_lanes if fewer.
 
-    cols is the slice of one slab, SLAB_COLUMNS wide (the last may be
-    narrower).  Worker lanes start at once and pull slabs from one shared
-    queue.  The calling thread first runs own_task, when given, and then
-    pulls slabs as well, so with one CPU, or with every worker busy,
-    it solves them all itself.  The call returns, or raises the first
-    error of the calling thread or else of a worker lane, only after
-    every lane has stopped; a failing lane stops the others from taking
-    more slabs.  Before it returns it drops its reference to solve on
-    the calling thread, so whatever solve holds (an LU) is freed there.
+    Worker lanes start at once and pull items from one shared queue; the
+    calling thread pulls them as well, so with one CPU, or with every
+    worker busy, it runs them all itself.  The call returns, or raises
+    the first error of the calling thread or else of a worker lane, only
+    after every lane has stopped; a failing lane stops the others from
+    taking more items.  Before it returns it drops its reference to task
+    on the calling thread, so whatever task holds (an LU) is freed there.
     """
-    work = _SlabQueue(n_columns, solve)
-    n_slabs = len(work.slabs)
-    n_workers = min(_lane_count() - 1, n_slabs if own_task is not None else n_slabs - 1)
+    work = _WorkQueue(items, task)
+    n_workers = min(_lane_count(), len(items), max_lanes or len(items)) - 1
     workers = [_worker_pool().submit(work.drain) for _ in range(max(0, n_workers))]
     try:
-        if own_task is not None:
-            own_task()
         work.drain()
     finally:
         work.close()
@@ -290,7 +310,7 @@ _pool_lock = threading.Lock()
 
 
 def _worker_pool() -> futures.ThreadPoolExecutor:
-    """The module's slab workers, created on first use and reused after.
+    """The module's lane workers, created on first use and reused after.
 
     Reusing the threads keeps glibc from growing a fresh per-thread heap
     on every solve.
@@ -299,7 +319,7 @@ def _worker_pool() -> futures.ThreadPoolExecutor:
     with _pool_lock:
         if _pool is None:
             _pool = futures.ThreadPoolExecutor(
-                max_workers=max(1, _lane_count() - 1), thread_name_prefix="helmholtz-slab"
+                max_workers=max(1, _lane_count() - 1), thread_name_prefix="helmholtz-lane"
             )
     return _pool
 

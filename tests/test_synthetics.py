@@ -1,6 +1,8 @@
 import gc
+import sys
 import threading
 import time
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -90,7 +92,8 @@ def reference_data(model, acq, freqs):
 
 
 class TestGenerateData:
-    @pytest.mark.parametrize("lanes", [None, 1])  # None: one lane per CPU
+    # None: one lane per CPU; 2 and 3 nest the slab lanes in frequency lanes
+    @pytest.mark.parametrize("lanes", [None, 1, 2, 3])
     @pytest.mark.parametrize("freqs", [(4.0,), (4.0, 5.0, 6.0)])
     @pytest.mark.parametrize("n_sources", [1, 8, 9, 17])
     def test_matches_column_by_column_reference(self, monkeypatch, n_sources, freqs, lanes):
@@ -167,41 +170,142 @@ class TestGenerateData:
             generate_data(model, acq, (4.0,))
         assert worker_started.is_set()
 
+    def test_concurrent_callers_share_the_lanes(self, monkeypatch):
+        # nested frequency and slab lanes of several callers on more lanes
+        # than cores, switching threads every microsecond
+        monkeypatch.setattr(helmholtz, "_lane_count", lambda: 4)
+        model, acq = survey(17)
+        freqs = (4.0, 5.0, 6.0)
+        expected = reference_data(model, acq, freqs).tobytes()
+        results = []
+
+        def caller():
+            for _ in range(3):
+                results.append(generate_data(model, acq, freqs).data.tobytes() == expected)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert results == [True] * 9
+
+    def test_failure_in_a_worker_frequency_drops_its_lu_there(self, monkeypatch):
+        monkeypatch.setattr(helmholtz, "_lane_count", lambda: 2)
+        model, acq = survey(17)
+        caller = threading.get_ident()
+        worker_factored = threading.Event()
+        made_on, dropped_on, running = [], [], [0]
+        lock = threading.Lock()
+        real_splu = spla.splu
+
+        class WorkerLUFails:
+            """An LU whose solve misses the residual contract if a worker made it."""
+
+            def __init__(self, A, **kwargs):
+                self.lu = real_splu(A, **kwargs)
+                self.made_on = threading.get_ident()
+                with lock:
+                    self.n = len(made_on)
+                    made_on.append(self.made_on)
+                    dropped_on.append(None)
+                if self.made_on != caller:
+                    worker_factored.set()
+
+            def solve(self, b, trans="N"):
+                with lock:
+                    running[0] += 1
+                try:
+                    if self.made_on == caller:
+                        # hold the caller's frequency until a worker factored one
+                        worker_factored.wait(timeout=10)
+                        return self.lu.solve(b, trans=trans)
+                    return self.lu.solve(b, trans=trans) + 1.0
+                finally:
+                    with lock:
+                        running[0] -= 1
+
+            def __del__(self):
+                dropped_on[self.n] = threading.get_ident()
+
+        monkeypatch.setattr(spla, "splu", WorkerLUFails)
+        with pytest.raises(SolveError, match="residual contract") as failure:
+            generate_data(model, acq, (4.0, 5.0, 6.0))
+        assert running[0] == 0  # no lane was still solving when the error arrived
+        assert any(t != caller for t in made_on)
+        # the error and its traceback are still alive, its frequency's LU is not
+        assert failure.value.__traceback__ is not None
+        assert dropped_on == made_on
+
 
 @pytest.mark.parametrize("job", ["generate_data", "run_inversion"])
 def test_every_lu_is_made_and_dropped_on_the_calling_thread(monkeypatch, job):
+    # generate_data factors on its frequency lanes instead: there each LU
+    # must be dropped on the thread that made it, and no more than two
+    # Helmholtz LUs may be alive at once, although three lanes could run
     monkeypatch.setattr(helmholtz, "_lane_count", lambda: 3)
+    pool = futures.ThreadPoolExecutor(max_workers=2)
+    monkeypatch.setattr(helmholtz, "_pool", pool)
     model, acq = survey(17)
     if job == "run_inversion":
         ds = generate_data(model, acq, (4.0,))
     made_on, dropped_on = [], []
+    alive, most_alive = [0], [0]  # Helmholtz LUs
+    lock = threading.Lock()
     real_splu = spla.splu
 
     class RecordedLU:
         def __init__(self, A, **kwargs):
-            made_on.append(threading.get_ident())
             self.lu = real_splu(A, **kwargs)
+            self.made_on = threading.get_ident()
+            self.helmholtz = np.iscomplexobj(A.data)
+            with lock:
+                made_on.append(self.made_on)
+                alive[0] += self.helmholtz
+                most_alive[0] = max(most_alive[0], alive[0])
 
         def __getattr__(self, name):
             return getattr(self.lu, name)
 
+        def solve(self, b, trans="N"):
+            if job == "generate_data":
+                time.sleep(0.01)  # long enough for every lane to hold an LU
+            return self.lu.solve(b, trans=trans)
+
         def __del__(self):
-            dropped_on.append(threading.get_ident())
+            with lock:
+                dropped_on.append((self.made_on, threading.get_ident()))
+                alive[0] -= self.helmholtz
 
     monkeypatch.setattr(spla, "splu", RecordedLU)
-    if job == "generate_data":
-        generate_data(model, acq, (4.0, 5.0, 6.0))
-        n_lu = 3
-    else:
-        start = make_layered_model(model.grid, 1500.0, 2000.0, c_min=800.0, c_max=5000.0)
-        config = InversionConfig(
-            frequencies=(4.0,), n_schedule=(3, 5), n_iter=2, spec=DiffusionSpec("eta3", 0.05)
-        )
-        assert len(config.blocks()) == 2
-        run_inversion(config, ds, start)
-        n_lu = len(made_on)
-        assert n_lu >= 4  # the diffusion LU and at least one Helmholtz LU per block
+    try:
+        if job == "generate_data":
+            generate_data(model, acq, (4.0, 5.0, 6.0, 7.0))
+            n_lu = 4
+        else:
+            start = make_layered_model(model.grid, 1500.0, 2000.0, c_min=800.0, c_max=5000.0)
+            config = InversionConfig(
+                frequencies=(4.0,), n_schedule=(3, 5), n_iter=2, spec=DiffusionSpec("eta3", 0.05)
+            )
+            assert len(config.blocks()) == 2
+            run_inversion(config, ds, start)
+            n_lu = len(made_on)
+            assert n_lu >= 4  # the diffusion LU and at least one Helmholtz LU per block
+    finally:
+        pool.shutdown(wait=True)
     gc.collect()
-    me = threading.get_ident()
-    assert made_on == [me] * n_lu
-    assert dropped_on == [me] * n_lu
+    assert len(made_on) == len(dropped_on) == n_lu
+    if job == "generate_data":
+        assert all(made == dropped for made, dropped in dropped_on)
+        assert synthetics.FREQUENCIES_IN_FLIGHT == 2
+        assert most_alive[0] <= 2
+    else:
+        me = threading.get_ident()
+        assert made_on == [me] * n_lu
+        assert dropped_on == [(me, me)] * n_lu
