@@ -278,15 +278,16 @@ class RunConfig:
         )
 
     @_config_values
-    def dataset(self) -> FrequencyDataset:
+    def dataset(self, grid: Grid2D) -> FrequencyDataset:
         """The [data] path dataset; a ConfigError unless it holds every
-        configured frequency."""
+        configured frequency and its acquisition lies inside `grid`."""
         path = self.resolve(self["data", "path"])
         if not path.is_dir():
             raise FileNotFoundError(f"dataset directory not found: {path}")
         dataset = load_dataset(path)
         for freq in self["data", "frequencies"]:
             dataset.frequency_index(freq)  # raises GridError for a missing one
+        dataset.acquisition.validate_in(grid)
         return dataset
 
 
@@ -368,8 +369,8 @@ def cmd_decompose(cfg: RunConfig, seed: int) -> int:
 
 def cmd_invert(cfg: RunConfig, seed: int) -> int:
     config = cfg.inversion()
-    dataset = cfg.dataset()
     m_start = cfg.load_model(cfg["model", "start_path"])
+    dataset = cfg.dataset(m_start.grid)
     final, history = run_inversion(config, dataset, m_start)
     out = fileio.ensure_dir(cfg.resolve(cfg["output", "dir"]))
     history.to_csv(out / "history.csv")

@@ -247,7 +247,8 @@ def load_basis(directory: str | os.PathLike) -> EigenBasis:
     A missing or malformed manifest line, a manifest grid that disagrees
     with m0.ewf, an eigenvectors.f64 payload whose size is not
     n_nodes * n * 8 bytes for the manifest's grid and n, or a payload whose
-    columns are not orthonormal to ORTHO_TOL raises FieldFileError.
+    columns are not orthonormal to ORTHO_TOL or not zero on every boundary
+    node raises FieldFileError.
     """
     root = Path(directory)
     manifest = fileio.read_manifest(root, MANIFEST_KEYS, ("eigenvalues",))
@@ -271,6 +272,12 @@ def load_basis(directory: str | os.PathLike) -> EigenBasis:
         raise fileio.FieldFileError(
             f"{root / PAYLOAD_NAME}: eigenvectors are not orthonormal: "
             f"max Gram defect {gram:.3e} > {ORTHO_TOL:.1e}"
+        )
+    edge = np.flatnonzero(~grid.interior_mask())
+    nonzero = edge[np.any(vecs[edge] != 0.0, axis=1)]
+    if nonzero.size:  # reconstruct keeps m0's edge values only if these rows are zero
+        raise fileio.FieldFileError(
+            f"{root / PAYLOAD_NAME}: eigenvectors are nonzero on boundary node {nonzero[0]}"
         )
     return EigenBasis(
         spec=spec,

@@ -45,8 +45,16 @@ class Grid2D:
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.nx < 3 or self.nz < 3:
             raise GridError(f"grid must be at least 3x3, got {self.nx}x{self.nz}")
-        if not (self.hx > 0.0 and self.hz > 0.0):
-            raise GridError(f"spacings must be positive, got hx={self.hx} hz={self.hz}")
+        spacings = np.array([self.hx, self.hz])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            weights = 1.0 / (spacings * spacings)  # flux_stencil's face weights at eta = 1
+        if not np.all((spacings > 0.0) & (weights > 0.0) & np.isfinite(weights)):
+            raise GridError(
+                f"spacings must be positive with a finite positive 1/h^2, got hx={self.hx} hz={self.hz}"
+            )
+        far = (self.x0 + self.extent_x, self.z0 + self.extent_z)
+        if not np.all(np.isfinite((self.x0, self.z0, *far))):
+            raise GridError(f"origin ({self.x0}, {self.z0}) and far edge {far} must be finite")
 
     @property
     def n_nodes(self) -> int:

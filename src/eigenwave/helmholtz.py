@@ -28,16 +28,17 @@ fill drops from 4.81M to 2.71M; there the cheaper factorization is partly
 offset by slower 64-RHS triangular solves.
 
 solve_array cuts its right-hand sides into slabs of SLAB_COLUMNS columns
-and hands them to the lane runner.  The runner takes a list of work items
-(here slab slices; synthetics.generate_data gives it frequency indices)
-and a cap on its lanes: the calling thread is lane 0, and a module-level
-thread pool, created on first use with one worker per CPU in the
-process's affinity mask beyond the first, runs the others.  The lanes
-pull items from one shared queue, so a lane that starts late, or never
-starts because every pool worker is busy with another caller or with an
-outer lane runner, leaves its items to the lanes that run; lane runners
-nest without waiting on each other.  SuperLU's solve releases the
-GIL, so the lanes run in parallel, and narrow slabs cost no more per
+and hands them to the lane runner, as receiver_data does with the point
+loads of each frequency; both bind the one slab task, _solve_slab.  The
+runner takes a list of work items (slab slices; receiver_data also gives
+it frequency indices) and a cap on its lanes: the calling thread is lane
+0, and a module-level thread pool, created on first use with one worker
+per CPU in the process's affinity mask beyond the first, runs the
+others.  The lanes pull items from one shared queue, so a lane that
+starts late, or never starts because every pool worker is busy with
+another caller or with an outer lane runner, leaves its items to the
+lanes that run; lane runners nest without waiting on each other.
+SuperLU's solve releases the GIL, so the lanes run in parallel, and narrow slabs cost no more per
 column than one wide solve: at 321x161 on one core, eight 8-column slabs
 took 0.50-0.90 s against 0.83-0.99 s for one 64-column call, and they
 hold less scratch memory.  Each slab gets the full residual check and
@@ -55,8 +56,8 @@ thread leaked about 48 MB per factorization at 321x161 (RSS 141 ->
 dropped on one thread, RSS stayed flat at 81 MB.  solve_array factors on
 its calling thread, and the runner drops its reference to the task on
 the calling thread before it returns, so a worker never holds the last
-reference to that LU; synthetics.generate_data factors each frequency on
-the lane that solves it and drops the LU there.  A lane whose task fails
+reference to that LU; receiver_data factors each frequency on the lane
+that solves it and drops the LU there.  A lane whose task fails
 clears the frames of the error's traceback before passing the error on,
 so an LU that the failed task held in a frame's locals is dropped on
 that lane, not wherever the error ends up.  Clearing leaves each frame's
@@ -64,9 +65,9 @@ function alive, so such a task keeps its LU out of closure cells.
 
 A dropped LU's pages stay resident in glibc's heap, and where the next
 factorization and the slab buffers land among them is left to thread
-timing: on the same code and inputs, one process's generate_data peaked
-at 260 MB and the next at 307 MB (321x161, 64 sources, 6 frequencies).
-trim_heap hands those pages back; called once per dropped LU, ten
+timing: on the same code and inputs, one process's synthesis peaked at
+260 MB and the next at 307 MB (321x161, 64 sources, 6 frequencies).
+_trim_heap hands those pages back; called once per dropped LU, ten
 processes in a row peaked at 240.2-240.6 MB.
 """
 
@@ -92,6 +93,11 @@ from .grid import PERMC_SPEC, Grid2D, GridError, Model, ScalarField, flux_stenci
 RESIDUAL_RTOL = 1e-10
 # right-hand-side columns per SuperLU solve call; see solve_array
 SLAB_COLUMNS = 8
+# Frequencies that receiver_data synthesizes at once, whatever the CPU
+# count.  Each holds its LU until its last slab is solved, so this caps
+# the live Helmholtz LUs at two; each further lane would raise the peak
+# memory by one LU.
+FREQUENCIES_IN_FLIGHT = 2
 
 _Item = TypeVar("_Item")
 
@@ -177,20 +183,29 @@ class HelmholtzOperator:
         block = np.asarray(rhs_cols, dtype=np.complex128)
         if block.ndim != 2 or block.shape[0] != self.grid.n_nodes:
             raise GridError(f"rhs shape {block.shape} is not ({self.grid.n_nodes} grid nodes, k)")
-        lu = self.factor()
         trans = "H" if adjoint else "N"
         op = self.matrix.getH() if adjoint else self.matrix
         sols = np.empty(block.shape, dtype=np.complex128, order="F")
-
-        def solve(cols: slice) -> None:
-            sols[:, cols] = _solve_slab(lu, op, block[:, cols], trans)
-
-        _run_lanes(_slabs(block.shape[1]), solve)
+        task = functools.partial(_solve_slab, self.factor(), op, trans, block, None, sols)
+        _run_lanes(_slabs(block.shape[1]), task)
         return sols
 
 
-def _solve_slab(lu: spla.SuperLU, op: sp.spmatrix, slab: np.ndarray, trans: str) -> np.ndarray:
-    """Solve one slab of columns under the residual contract of solve_array."""
+def _solve_slab(
+    lu: spla.SuperLU, op: sp.spmatrix, trans: str, rhs: np.ndarray | sp.spmatrix,
+    rec_op: sp.spmatrix | None, out: np.ndarray, cols: slice,
+) -> None:
+    """The slab task: solve the columns cols of rhs under the residual
+    contract of solve_array and write the solution, or rec_op @ the
+    solution, to out[:, cols].
+
+    A sparse rhs (receiver_data's point loads) is densified one slab at a
+    time.  Bound with functools.partial rather than written as a closure:
+    a frame keeps its function, and so a closure's cells, alive after the
+    lane runner clears a failed task's frames, and the LU would outlive
+    them.
+    """
+    slab = rhs[:, cols].toarray() if sp.issparse(rhs) else rhs[:, cols]
     x = lu.solve(slab, trans=trans)
     bound = RESIDUAL_RTOL * np.maximum(1.0, [np.linalg.norm(b) for b in slab.T])
     rnorm = _residual_norms(op, x, slab)
@@ -206,7 +221,7 @@ def _solve_slab(lu: spla.SuperLU, op: sp.spmatrix, slab: np.ndarray, trans: str)
                 f"residual contract missed: ||Au-f||={rnorm[worst]:.3e} exceeds "
                 f"{bound[worst]:.3e} (likely near-resonant or ill-conditioned operator)"
             )
-    return x
+    out[:, cols] = x if rec_op is None else rec_op @ x
 
 
 def _residual_norms(op: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -227,7 +242,7 @@ _malloc_trim = (
 )
 
 
-def trim_heap() -> None:
+def _trim_heap() -> None:
     """Return the free pages of the malloc heap to the OS, where glibc allows.
 
     Call it once the last reference to an LU is gone (see the module
@@ -433,3 +448,48 @@ def receiver_matrix(grid: Grid2D, acq: Acquisition) -> sp.csr_matrix:
                 cols.append(col)
                 vals.append(w)
     return sp.csr_matrix((vals, (rows, cols)), shape=(acq.n_receivers, grid.n_nodes))
+
+
+def receiver_data(model: Model, omegas: Sequence[float], acquisition: Acquisition) -> np.ndarray:
+    """Forward-solve every source at every angular frequency in omegas and
+    sample the receivers: the (n_omega, n_sources, n_receivers) block.
+
+    The frequencies run on the lane runner, FREQUENCIES_IN_FLIGHT (two)
+    at a time.  Each frequency lane assembles and factors its frequency,
+    solves its source slabs on a nested lane runner (so an idle CPU still
+    helps, and one frequency or one CPU runs as a plain loop), writes the
+    receiver samples into the block, and then drops its operator and LU
+    and trims the heap, all on its own thread (see the module docstring
+    for the leak an LU made on a worker and dropped elsewhere caused).
+    SuperLU's factorization releases the GIL, so on an idle host two
+    frequencies factor in parallel: two 321x161 factorizations on two
+    threads took 0.36-0.44 s against 0.66-0.81 s in sequence.  With
+    another process holding a CPU that gain is gone.  Two lanes, not one
+    per CPU, because each holds an LU, and the benchmark's peak-memory
+    bound was set on two.
+
+    Each slab task densifies its SLAB_COLUMNS point loads, solves them
+    under solve_array's residual contract and refinement, and writes the
+    receiver samples straight into the block, so no full wavefield and
+    no dense source block is ever held; trimming the heap as each LU is
+    dropped makes the peak RSS the same from one run to the next.  A
+    variant that kept each frequency's wavefields ran just as fast on the
+    forward_survey benchmark (321x161, 64 sources, where one wavefield
+    block is 53 MB), but its peak RSS read 415-426 MB, 13-14% above a
+    loop that kept none and past the benchmark's 10% memory bound.  The
+    samples are bit-identical to sampling solve_array's result: each
+    slab is the same SuperLU call on the same columns.
+    """
+    rec_op = receiver_matrix(model.grid, acquisition)
+    loads = source_batch(model.grid, acquisition)
+    data = np.empty((len(omegas), acquisition.n_sources, acquisition.n_receivers), dtype=np.complex128)
+
+    def synthesize(i: int) -> None:
+        op = assemble(model, omegas[i])
+        task = functools.partial(_solve_slab, op.factor(), op.matrix, "N", loads, rec_op, data[i].T)
+        _run_lanes(_slabs(acquisition.n_sources), task)
+        del op, task
+        _trim_heap()
+
+    _run_lanes(range(len(omegas)), synthesize, FREQUENCIES_IN_FLIGHT)
+    return data

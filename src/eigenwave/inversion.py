@@ -363,9 +363,11 @@ def run_inversion(
     last_time = perf_counter()
     grid = m_start.grid
     history = InversionHistory()
-    # (dataset index, N) per block, looked up first: a frequency missing
-    # from the dataset fails before the basis is built
+    # (dataset index, N) per block, looked up first, and the acquisition
+    # checked against the grid: a frequency missing from the dataset or a
+    # source outside the grid fails before the basis is built
     blocks = [(dataset.frequency_index(freq), n) for freq, n in config.blocks()]
+    dataset.acquisition.validate_in(grid)
     if config.spec is None:
         basis = None
         x = np.array(m_start.m)

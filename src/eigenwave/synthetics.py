@@ -10,30 +10,13 @@ up to 2.9e-12, and matched bit for bit on 1 thread.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import FrequencyDataset
 from .grid import Grid2D, GridError, Model, ScalarField, speed_to_slowness
-from .helmholtz import (
-    Acquisition,
-    _run_lanes,
-    _slabs,
-    _solve_slab,
-    assemble,
-    receiver_matrix,
-    source_batch,
-    trim_heap,
-)
-
-# Frequencies that generate_data synthesizes at once, whatever the CPU
-# count.  Each holds its LU until its last slab is solved, so this caps
-# the live Helmholtz LUs at two, the most that synthesis held when it
-# factored one frequency ahead while solving the one before; each
-# further lane would raise the peak memory by one LU.
-FREQUENCIES_IN_FLIGHT = 2
+from .helmholtz import Acquisition, receiver_data
 
 
 @dataclass(frozen=True)
@@ -101,63 +84,13 @@ def generate_data(
 ) -> FrequencyDataset:
     """Forward-solve and sample receivers for every (frequency, source).
 
-    The frequencies run on helmholtz's lane runner, FREQUENCIES_IN_FLIGHT
-    (two) at a time.  Each frequency lane assembles and factors its
-    frequency, solves its source slabs on a nested lane runner (so an
-    idle CPU still helps, and one frequency or one CPU runs as a plain
-    loop), writes the receiver samples into the data, and then drops its
-    operator and LU and trims the heap, all on its own thread (see the
-    helmholtz module docstring for the leak an LU made on a worker and
-    dropped elsewhere caused).  SuperLU's factorization releases the GIL,
-    so on an idle host two frequencies factor in parallel: two 321x161
-    factorizations on two threads took 0.36-0.44 s against 0.66-0.81 s in
-    sequence.  With another process holding a CPU that gain is gone.  Two
-    lanes, not one per CPU, because each holds an LU: two is the most
-    that synthesis held when it factored one frequency ahead while
-    solving the one before, and the benchmark's peak-memory bound was set
-    on that.
-
-    Each slab task densifies its SLAB_COLUMNS source columns, solves
-    them under solve_array's residual contract and refinement, and
-    writes the receiver samples straight into the data, so no full
-    wavefield and no dense source block is ever held; trimming the heap
-    as each LU is dropped makes the peak RSS the same from one run to the
-    next.  A variant that kept each frequency's wavefields ran just as
-    fast on the forward_survey benchmark (321x161, 64 sources, where one
-    wavefield block is 53 MB), but its peak RSS read 415-426 MB, 13-14%
-    above a loop that kept none and past the benchmark's 10% memory
-    bound.  The data are bit-identical to sampling solve_array's result:
-    each slab is the same SuperLU call on the same columns.
+    helmholtz.receiver_data does the work at omega = 2 pi f, on its
+    frequency and slab lanes; this wraps its block with the acquisition
+    and the frequencies in Hz.
     """
-    grid = model_true.grid
     freqs = tuple(float(f) for f in frequencies_hz)
-    rec_op = receiver_matrix(grid, acquisition)
-    loads = source_batch(grid, acquisition)
-    data = np.empty(
-        (len(freqs), acquisition.n_sources, acquisition.n_receivers),
-        dtype=np.complex128,
-    )
-
-    def synthesize(i: int) -> None:
-        op = assemble(model_true, 2.0 * np.pi * freqs[i])
-        sample = functools.partial(_sample_slab, op.factor(), op.matrix, loads, rec_op, data[i])
-        _run_lanes(_slabs(acquisition.n_sources), sample)
-        del op, sample
-        trim_heap()
-
-    _run_lanes(range(len(freqs)), synthesize, FREQUENCIES_IN_FLIGHT)
+    data = receiver_data(model_true, [2.0 * np.pi * f for f in freqs], acquisition)
     return FrequencyDataset(acquisition=acquisition, frequencies=freqs, data=data)
-
-
-def _sample_slab(lu, matrix, loads, rec_op, out: np.ndarray, cols: slice) -> None:
-    """Solve the source columns cols of loads and write their receiver samples to out.
-
-    Bound with functools.partial rather than written as a closure: a frame
-    keeps its function, and so a closure's cells, alive after the lane
-    runner clears a failed task's frames, and the LU would outlive them.
-    """
-    x = _solve_slab(lu, matrix, loads[:, cols].toarray(), "N")
-    out[cols] = (rec_op @ x).T
 
 
 def add_model_noise(model: Model, percent: float, seed: int) -> Model:

@@ -167,6 +167,34 @@ def test_bad_inversion_setting_is_config_error(synth_dir, capsys, line, message)
     assert not (synth_dir / "inv_bad_ls").exists()
 
 
+def test_acquisition_outside_start_grid_is_config_error(synth_dir, capsys, monkeypatch):
+    def no_basis(*args):
+        raise AssertionError("the basis was built before the acquisition was checked")
+
+    monkeypatch.setattr(inversion, "build_basis", no_basis)
+    small = make_layered_model(Grid2D(nx=12, nz=6, hx=50.0, hz=50.0), 1500.0, 2000.0)
+    write_field(synth_dir / "small_start.ewf", small.field)
+    cfg = invert_config(synth_dir, "synth/dataset", "inv_small_start")
+    path = synth_dir / "inv_small_start.ini"
+    path.write_text(path.read_text().replace("start_path = start.ewf", "start_path = small_start.ewf"))
+    assert main(["invert", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}") and "outside grid" in err
+    assert not (synth_dir / "inv_small_start").exists()
+
+
+def test_start_model_with_inf_spacing_is_io_error(synth_dir, capsys):
+    header, payload = (synth_dir / "start.ewf").read_bytes().split(b"\n", 1)
+    assert header.split()[3] == b"50.0"
+    (synth_dir / "inf_start.ewf").write_bytes(header.replace(b" 50.0 ", b" inf ", 1) + b"\n" + payload)
+    cfg = invert_config(synth_dir, "synth/dataset", "inv_inf_start")
+    path = synth_dir / "inv_inf_start.ini"
+    path.write_text(path.read_text().replace("start_path = start.ewf", "start_path = inf_start.ewf"))
+    assert main(["invert", "--config", cfg]) == EXIT_IO
+    assert "spacings" in capsys.readouterr().err
+    assert not (synth_dir / "inv_inf_start").exists()
+
+
 def test_missing_dataset_is_io_error(synth_dir):
     cfg = invert_config(synth_dir, "no_such_dataset", "inv_missing")
     assert main(["invert", "--config", cfg]) == EXIT_IO
@@ -396,6 +424,9 @@ BAD_VALUES = [
     ("invert", "frequencies = 4 5 6", "frequencies = 0 5", "finite and positive"),
     ("invert", "n_iter = 2", "n_iter = 2\nnodal = maybe", "not a boolean"),
     ("synth", "c_top = 1500", "# c_top unset", "missing [model] c_top"),
+    ("synth", "hx = 50", "hx = inf", "spacings"),
+    ("synth", "hx = 50", "hx = 1e200", "spacings"),
+    ("synth", "hx = 50", "hx = 50\nx0 = nan", "must be finite"),
 ]
 
 

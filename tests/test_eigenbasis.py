@@ -513,6 +513,14 @@ class TestLoadBasisChecks:
         with pytest.raises(FieldFileError, match="not orthonormal: max Gram defect 1.250e"):
             load_basis(bad)
 
+    def test_payload_must_be_zero_on_the_boundary(self, archive, tmp_path):
+        bad = edited_copy(archive, tmp_path / "b", lambda lines: lines)
+        vecs = np.fromfile(bad / PAYLOAD_NAME, dtype="<f8").reshape(-1, 4)
+        vecs[[0, 30]] = vecs[[30, 0]]  # a corner and an interior node: still orthonormal
+        (bad / PAYLOAD_NAME).write_bytes(vecs.astype("<f8").tobytes())
+        with pytest.raises(FieldFileError, match="nonzero on boundary node 0"):
+            load_basis(bad)
+
     def test_unedited_copy_loads(self, archive, tmp_path):
         back = load_basis(edited_copy(archive, tmp_path / "b", lambda lines: lines))
         np.testing.assert_array_equal(back.eigenvectors, load_basis(archive).eigenvectors)

@@ -58,8 +58,10 @@ def test_bad_header(tmp_path):
     [
         (b"EWF1 2 3 10 10 0 0\n", np.zeros(6), "at least 3x3"),
         (b"EWF1 3 3 10 10 0 0\n", np.r_[np.zeros(8), np.nan], "finite"),
+        (b"EWF1 3 3 inf 10 0 0\n", np.zeros(9), "spacings"),
+        (b"EWF1 3 3 10 10 nan 0\n", np.zeros(9), "must be finite"),
     ],
-    ids=["grid_too_small", "nan_payload"],
+    ids=["grid_too_small", "nan_payload", "inf_spacing", "nan_origin"],
 )
 def test_header_or_payload_the_grid_rejects(tmp_path, header, payload, message):
     path = tmp_path / "bad.ewf"

@@ -28,6 +28,15 @@ class TestGrid2D:
             Grid2D(nx=5, nz=5, hx=0.0, hz=1.0)
         with pytest.raises(GridError):
             Grid2D(nx=5, nz=5, hx=1.0, hz=-2.0)
+        # spacings whose stencil weight 1/h^2 is 0, inf or nan
+        for h in (float("inf"), 1e200, 1e-200, float("nan")):
+            with pytest.raises(GridError, match="spacings"):
+                Grid2D(nx=5, nz=5, hx=h, hz=1.0)
+            with pytest.raises(GridError, match="spacings"):
+                Grid2D(nx=5, nz=5, hx=1.0, hz=h)
+        for x0, z0 in ((float("nan"), 0.0), (0.0, float("inf")), (-float("inf"), 0.0)):
+            with pytest.raises(GridError, match="finite"):
+                Grid2D(nx=5, nz=5, hx=1.0, hz=1.0, x0=x0, z0=z0)
 
     @given(
         nx=st.integers(3, 40),

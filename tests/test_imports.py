@@ -1,8 +1,10 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and imports no
+private (underscore) name of another package module.
 
-The scan reads the source with `ast` only: a name bound by an import
-must be read somewhere in the module.  `__init__.py` is left out, since
-its imports are the package's exports.
+The scans read the source with `ast` only: a name bound by an import
+must be read somewhere in the module, and a name that one module keeps
+private is not another module's to import.  `__init__.py` is left out,
+since its imports are the package's exports.
 """
 
 import ast
@@ -30,6 +32,22 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
 
 
+def private_imports(source: str) -> list[str]:
+    """'name from module (line n)' for each underscore name imported from a package module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = "." * node.level + (node.module or "")
+        if node.level or module.split(".")[0] == PACKAGE.name:
+            found += [
+                f"{a.name} from {module} (line {node.lineno})"
+                for a in node.names
+                if a.name.startswith("_")
+            ]
+    return found
+
+
 def test_package_has_modules():
     assert {p.name for p in MODULES} >= {"cli.py", "grid.py", "inversion.py"}
 
@@ -37,6 +55,11 @@ def test_package_has_modules():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_import(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_scan_finds_an_unused_import():
@@ -49,3 +72,21 @@ def test_scan_finds_an_unused_import():
         "    return np.sqrt(scipy.sparse.linalg.norm(m))\n"
     )
     assert unused_imports(source) == ["speed_to_slowness (line 4)"]
+
+
+def test_scan_finds_a_private_import():
+    source = (
+        "from __future__ import annotations\n"
+        "from numpy.linalg import _umath_linalg\n"
+        "from .helmholtz import Acquisition, _run_lanes\n"
+        "from . import _util\n"
+        "from eigenwave.grid import _private, Grid2D\n"
+        "def f():\n"
+        "    from ..other import _nested\n"
+    )
+    assert private_imports(source) == [
+        "_run_lanes from .helmholtz (line 3)",
+        "_util from . (line 4)",
+        "_private from eigenwave.grid (line 5)",
+        "_nested from ..other (line 7)",
+    ]

@@ -431,6 +431,18 @@ class TestRunInversion:
             run_inversion(cfg, ds, m_start)
         assert builds == []
 
+    def test_acquisition_outside_the_grid_fails_before_the_basis(self, fwi_setup, monkeypatch):
+        g, m_true, m_start, ds = fwi_setup
+        builds = count_basis_builds(monkeypatch)
+        small = Grid2D(nx=12, nz=6, hx=50.0, hz=50.0)  # the sources reach x = 1000
+        start = Model(ScalarField(small, m_start.m[: small.n_nodes]), m_start.c_min, m_start.c_max)
+        cfg = InversionConfig(
+            frequencies=(6.0,), n_schedule=(4,), n_iter=2, spec=DiffusionSpec("eta3", 0.05)
+        )
+        with pytest.raises(GridError, match="outside grid"):
+            run_inversion(cfg, ds, start)
+        assert builds == []
+
     def test_failed_search_ends_its_block(self, fwi_setup, monkeypatch):
         # every trial of block 0 rises; block 1 still runs all its iterations
         g, m_true, m_start, ds = fwi_setup

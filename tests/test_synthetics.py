@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from eigenwave import helmholtz, synthetics
+from eigenwave import helmholtz
 from eigenwave.diffusion import DiffusionSpec
 from eigenwave.grid import Grid2D, GridError
 from eigenwave.helmholtz import (
@@ -116,7 +116,7 @@ class TestGenerateData:
         model, acq = survey(17)
         freqs = (4.0, 5.0, 6.0)
         expected = generate_data(model, acq, freqs).data.tobytes()
-        real_splu, real_slab = spla.splu, synthetics._solve_slab
+        real_splu, real_slab = spla.splu, helmholtz._solve_slab
         n_splu, running, slab_started = [0], [0], threading.Event()
         lock = threading.Lock()
 
@@ -140,7 +140,7 @@ class TestGenerateData:
 
         with monkeypatch.context() as patch:
             patch.setattr(spla, "splu", splu_failing_second)
-            patch.setattr(synthetics, "_solve_slab", slow_slab)
+            patch.setattr(helmholtz, "_solve_slab", slow_slab)
             with pytest.raises(SolveError, match="sparse LU failed"):
                 generate_data(model, acq, freqs)
             assert slab_started.is_set()
@@ -303,7 +303,7 @@ def test_every_lu_is_made_and_dropped_on_the_calling_thread(monkeypatch, job):
     assert len(made_on) == len(dropped_on) == n_lu
     if job == "generate_data":
         assert all(made == dropped for made, dropped in dropped_on)
-        assert synthetics.FREQUENCIES_IN_FLIGHT == 2
+        assert helmholtz.FREQUENCIES_IN_FLIGHT == 2
         assert most_alive[0] <= 2
     else:
         me = threading.get_ident()
