@@ -24,8 +24,8 @@ from .dataset import FrequencyDataset, check_frequencies, load_dataset, save_dat
 from .diffusion import BETA_FREE_KINDS, DiffusionError, DiffusionSpec, ETA_KINDS
 from .eigenbasis import EigenSolveError, build_basis, project, reconstruct, save_basis
 from .fileio import FieldFileError
-from .grid import Grid2D, GridError, Model, relative_error
-from .helmholtz import Acquisition, SolveError
+from .grid import Grid2D, GridError, Model, SolveError, relative_error
+from .helmholtz import Acquisition
 from .inversion import InversionConfig, run_inversion
 from .synthetics import (
     Dome, SaltModelSpec, add_data_noise, add_model_noise, generate_data, make_salt_model,
@@ -125,7 +125,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "x0": (float, 0.0), "z0": (float, 0.0),
     },
     "model": {
-        "kind": (_one_of("salt", "layered"), "salt"),
         "c_top": (float, REQUIRED), "c_bottom": (float, REQUIRED),
         "c_min": (float, 1000.0), "c_max": (float, 6000.0),
         "domes": (_domes, ()), "noise_percent": (float, 0.0),
@@ -245,10 +244,10 @@ class RunConfig:
 
     @_config_values
     def build_model(self, seed: int) -> Model:
-        """The salt model, or with kind = layered its background alone."""
+        """The salt model: the layered background with [model] domes, if any."""
         spec = SaltModelSpec(
             c_top=self["model", "c_top"], c_bottom=self["model", "c_bottom"],
-            domes=self["model", "domes"] if self["model", "kind"] == "salt" else (),
+            domes=self["model", "domes"],
             c_min=self["model", "c_min"], c_max=self["model", "c_max"],
         )
         grid = Grid2D(
@@ -339,11 +338,11 @@ def cmd_decompose(cfg: RunConfig, seed: int) -> int:
     best = {}  # n -> (error, beta, reconstruction)
     for beta in cfg.beta_list(kind):
         # an extreme scaling can make the diffusion LU singular or defeat the
-        # eigensolver's residual contract; such a beta drops out of the sweep
-        # instead of killing it
+        # lift's or the eigensolver's residual contract; such a beta drops
+        # out of the sweep instead of killing it
         try:
             basis = build_basis(model.field, DiffusionSpec(kind=kind, beta=beta), max(n_list))
-        except (DiffusionError, EigenSolveError):
+        except (DiffusionError, SolveError, EigenSolveError):
             lines.append(f"{beta:.17g}" + ",failed" * len(n_list))
             continue
         recons = [reconstruct(project(model.field, basis, n)) for n in n_list]

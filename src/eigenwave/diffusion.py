@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import PERMC_SPEC, Grid2D, ScalarField, flux_stencil, same_grid
+from .grid import PERMC_SPEC, Grid2D, ScalarField, checked_solve, flux_stencil, same_grid
 
 ETA_KINDS = (
     "eta1",  # Perona-Malik rational
@@ -38,8 +38,6 @@ BETA_FREE_KINDS = ("eta8", "eta9")
 
 # below this raw gradient magnitude the 1/|grad| style formulas switch to 1
 GRAD_THRESHOLD = 1e-12
-
-LIFT_RTOL = 1e-10
 
 
 class DiffusionError(ValueError):
@@ -199,14 +197,10 @@ def _blocks(grid: Grid2D) -> tuple[int, sp.csc_matrix, sp.csr_matrix]:
 
 def lift_from_operator(op: DiffusionOperator, m: ScalarField) -> ScalarField:
     """Boundary lift m0: interior solve of the diffusion equation with m's
-    boundary values, which m0 keeps on the boundary nodes."""
+    boundary values, which m0 keeps on the boundary nodes.  The solve is
+    one grid.checked_solve, which raises SolveError on a residual miss."""
     same_grid(op.grid, m.grid)
     rhs = op.boundary_op @ m.values
-    interior = op.factor().solve(rhs)
-    rnorm = np.linalg.norm(op.matrix @ interior - rhs)
-    bound = LIFT_RTOL * max(1.0, np.linalg.norm(rhs))
-    if rnorm > bound:
-        raise DiffusionError(f"lift residual {rnorm:.3e} exceeds {bound:.3e}")
     full = np.array(m.values)
-    full[m.grid.interior_mask()] = interior
+    full[m.grid.interior_mask()] = checked_solve(op.factor(), op.matrix, rhs[:, None])[:, 0]
     return ScalarField(m.grid, full)

@@ -146,24 +146,22 @@ class EigenBasis:
 
 @dataclass(frozen=True)
 class DecomposedModel:
-    """Coefficients of a field in an EigenBasis; only the first n_active count."""
+    """Coefficients alpha of a field on the leading alpha.size = n_active
+    eigenvectors of an EigenBasis."""
 
     basis: EigenBasis
     alpha: np.ndarray
-    n_active: int
 
     def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=np.float64)
-        if a.shape != (self.basis.n_vectors,):
-            raise GridError(
-                f"alpha must have length {self.basis.n_vectors}, got {a.shape}"
-            )
-        if not 0 <= self.n_active <= self.basis.n_vectors:
-            raise GridError(f"n_active {self.n_active} out of range")
-        a = a.copy()
-        a[self.n_active:] = 0.0
+        a = np.array(self.alpha, dtype=np.float64)
+        if a.ndim != 1 or a.size > self.basis.n_vectors:
+            raise GridError(f"alpha must have at most {self.basis.n_vectors} entries, got shape {a.shape}")
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)
+
+    @property
+    def n_active(self) -> int:
+        return self.alpha.size
 
 
 def build_basis(m: ScalarField, spec: DiffusionSpec, n: int) -> EigenBasis:
@@ -198,13 +196,12 @@ def project(m: ScalarField, basis: EigenBasis, n_active: int | None = None) -> D
         n_active = basis.n_vectors
     if not 0 <= n_active <= basis.n_vectors:
         raise GridError(f"n_active {n_active} exceeds basis size {basis.n_vectors}")
-    alpha = np.zeros(basis.n_vectors)
-    alpha[:n_active] = basis.eigenvectors[:, :n_active].T @ (m.values - basis.m0.values)
-    return DecomposedModel(basis=basis, alpha=alpha, n_active=n_active)
+    alpha = basis.eigenvectors[:, :n_active].T @ (m.values - basis.m0.values)
+    return DecomposedModel(basis=basis, alpha=alpha)
 
 
 def reconstruct(d: DecomposedModel) -> ScalarField:
-    vals = d.basis.m0.values + d.basis.eigenvectors[:, : d.n_active] @ d.alpha[: d.n_active]
+    vals = d.basis.m0.values + d.basis.eigenvectors[:, : d.n_active] @ d.alpha
     return ScalarField(d.basis.grid, vals)
 
 

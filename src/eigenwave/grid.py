@@ -7,6 +7,9 @@ free surface is the row ``z = z0``.
 Both PDE operators come from one five-point flux stencil, flux_stencil:
 the diffusion operator -div(eta grad) is the interior block of Kx + Kz,
 and the Helmholtz operator takes its eta = 1 rows (see helmholtz).
+
+The Helmholtz slabs and the diffusion lift both solve through
+checked_solve, the one place that holds the residual contract.
 """
 
 from __future__ import annotations
@@ -17,14 +20,54 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 # column ordering for every sparse LU (Helmholtz and diffusion): minimum
 # degree on A^T + A; see the helmholtz module docstring for the measurements
 PERMC_SPEC = "MMD_AT_PLUS_A"
+# the relative residual bound of checked_solve
+RESIDUAL_RTOL = 1e-10
 
 
 class GridError(ValueError):
     """Invalid grid geometry or mismatched grids."""
+
+
+class SolveError(RuntimeError):
+    """Factorization or solve failed, or the residual contract was missed."""
+
+
+def checked_solve(lu: spla.SuperLU, op: sp.spmatrix, b: np.ndarray, trans: str = "N") -> np.ndarray:
+    """Solve op x = b for every column of b with op's LU, under the contract
+    ||op x_j - b_j|| <= RESIDUAL_RTOL * max(1, ||b_j||) for each column j.
+
+    op is the matrix that lu.solve(., trans) inverts (op^H for trans "H").
+    A column that misses gets one round of iterative refinement of the
+    whole block (Skeel, Math. Comp. 1980); a miss after that, a NaN
+    residual included, raises SolveError.  Each residual is taken one
+    column at a time: SuperLU returns x in Fortran order, so each x_j is
+    contiguous, the product copies nothing, and no temporary is larger
+    than one column.
+    """
+    bound = RESIDUAL_RTOL * np.maximum(1.0, [np.linalg.norm(c) for c in b.T])
+    x = lu.solve(b, trans=trans)
+    for refined in (False, True):
+        rnorm = np.empty(x.shape[1])
+        for j in range(x.shape[1]):
+            r = op @ x[:, j]
+            r -= b[:, j]
+            rnorm[j] = np.linalg.norm(r)
+        if np.all(rnorm <= bound):  # False for a NaN
+            return x
+        if not refined:
+            r = op @ x
+            r -= b
+            x -= lu.solve(r, trans=trans)
+    worst = int(np.argmax(rnorm / bound))  # a NaN ranks first
+    raise SolveError(
+        f"residual contract missed: ||Au-f||={rnorm[worst]:.3e} exceeds "
+        f"{bound[worst]:.3e} (likely near-resonant or ill-conditioned operator)"
+    )
 
 
 @dataclass(frozen=True)

@@ -41,11 +41,12 @@ lanes that run; lane runners nest without waiting on each other.
 SuperLU's solve releases the GIL, so the lanes run in parallel, and narrow slabs cost no more per
 column than one wide solve: at 321x161 on one core, eight 8-column slabs
 took 0.50-0.90 s against 0.83-0.99 s for one 64-column call, and they
-hold less scratch memory.  Each slab gets the full residual check and
-refinement, and the solutions land in one Fortran-order array, the
-layout SuperLU returns.  Which lane solves a slab does not change its
-bits: a slab is one SuperLU call on the same columns whatever the lane
-and core count.  With one BLAS thread a column even comes out with the
+hold less scratch memory.  Each slab is one grid.checked_solve call,
+which holds the residual contract and its one refinement round for the
+Helmholtz slabs and the diffusion lift alike, and the solutions land in
+one Fortran-order array, the layout SuperLU returns.  Which lane solves
+a slab does not change its bits: a slab is one SuperLU call on the same
+columns whatever the lane and core count.  With one BLAS thread a column even comes out with the
 same bits alone, in a slab or in one wide call; a threaded BLAS may
 round the wide supernode updates differently.
 
@@ -88,9 +89,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import PERMC_SPEC, Grid2D, GridError, Model, ScalarField, flux_stencil
+from .grid import PERMC_SPEC, Grid2D, GridError, Model, ScalarField, SolveError, checked_solve, flux_stencil
 
-RESIDUAL_RTOL = 1e-10
 # right-hand-side columns per SuperLU solve call; see solve_array
 SLAB_COLUMNS = 8
 # Frequencies that receiver_data synthesizes at once, whatever the CPU
@@ -100,10 +100,6 @@ SLAB_COLUMNS = 8
 FREQUENCIES_IN_FLIGHT = 2
 
 _Item = TypeVar("_Item")
-
-
-class SolveError(RuntimeError):
-    """Factorization or solve failed, or the residual contract was missed."""
 
 
 @dataclass(frozen=True)
@@ -175,10 +171,10 @@ class HelmholtzOperator:
         it is dropped where it was made.  The columns are solved in slabs of SLAB_COLUMNS
         on up to one lane per CPU, each lane taking the next unsolved
         slab from a queue the lanes share (see the module docstring), so
-        the lane count changes no bit of the result.  Each column must
-        meet ||A u - f|| <= RESIDUAL_RTOL * max(1, ||f||), after one round
-        of iterative refinement of its slab if needed, or SolveError is
-        raised, also when the slab ran on a worker lane.
+        the lane count changes no bit of the result.  Each slab is solved
+        by grid.checked_solve, which raises SolveError when a column
+        misses its residual contract, also when the slab ran on a worker
+        lane.
         """
         block = np.asarray(rhs_cols, dtype=np.complex128)
         if block.ndim != 2 or block.shape[0] != self.grid.n_nodes:
@@ -195,9 +191,8 @@ def _solve_slab(
     lu: spla.SuperLU, op: sp.spmatrix, trans: str, rhs: np.ndarray | sp.spmatrix,
     rec_op: sp.spmatrix | None, out: np.ndarray, cols: slice,
 ) -> None:
-    """The slab task: solve the columns cols of rhs under the residual
-    contract of solve_array and write the solution, or rec_op @ the
-    solution, to out[:, cols].
+    """The slab task: solve the columns cols of rhs with grid.checked_solve
+    and write the solution, or rec_op @ the solution, to out[:, cols].
 
     A sparse rhs (receiver_data's point loads) is densified one slab at a
     time.  Bound with functools.partial rather than written as a closure:
@@ -206,34 +201,8 @@ def _solve_slab(
     them.
     """
     slab = rhs[:, cols].toarray() if sp.issparse(rhs) else rhs[:, cols]
-    x = lu.solve(slab, trans=trans)
-    bound = RESIDUAL_RTOL * np.maximum(1.0, [np.linalg.norm(b) for b in slab.T])
-    rnorm = _residual_norms(op, x, slab)
-    if np.any(rnorm > bound):
-        # one round of iterative refinement before giving up
-        r = op @ x
-        r -= slab
-        x -= lu.solve(r, trans=trans)
-        rnorm = _residual_norms(op, x, slab)
-        if np.any(rnorm > bound):
-            worst = int(np.argmax(rnorm / bound))
-            raise SolveError(
-                f"residual contract missed: ||Au-f||={rnorm[worst]:.3e} exceeds "
-                f"{bound[worst]:.3e} (likely near-resonant or ill-conditioned operator)"
-            )
+    x = checked_solve(lu, op, slab, trans)
     out[:, cols] = x if rec_op is None else rec_op @ x
-
-
-def _residual_norms(op: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """||op x_j - b_j|| for each column j, one column at a time: SuperLU
-    returns x in Fortran order, so each x_j is contiguous and the product
-    copies nothing, and no temporary is larger than one column."""
-    rnorm = np.empty(x.shape[1])
-    for j in range(x.shape[1]):
-        r = op @ x[:, j]
-        r -= b[:, j]
-        rnorm[j] = np.linalg.norm(r)
-    return rnorm
 
 
 # glibc's malloc_trim; None where the C library has none
@@ -375,20 +344,31 @@ def _fixed_rows(grid: Grid2D):
 
 def assemble(model: Model, omega: float) -> HelmholtzOperator:
     """Build the sparse Helmholtz matrix for a model at angular frequency
-    omega, in the free-surface/absorbing layout of the module docstring."""
+    omega, in the free-surface/absorbing layout of the module docstring.
+
+    A diagonal entry, or its m-derivative, that is not a finite float
+    (omega^2 m overflows, or omega is NaN) raises GridError.
+    """
     if omega <= 0.0:
         raise GridError(f"omega must be positive, got {omega}")
     g, m = model.grid, model.m
     stencil, diagonal, interior, outgoing = _fixed_rows(g)
     diag = np.zeros(g.n_nodes, dtype=np.complex128)
     ddiag = np.zeros(g.n_nodes, dtype=np.complex128)
-    diag[interior] = -(omega ** 2) * m[interior]
-    ddiag[interior] = -(omega ** 2)
-    # outgoing rows: (p_b - p_in)/h^2 - i*omega*sqrt(m)/h * p_b = 0
-    for mask, h in outgoing:
-        sqrt_m = np.sqrt(m[mask])
-        diag[mask] = -1j * omega * sqrt_m / h
-        ddiag[mask] = -1j * omega / (2.0 * sqrt_m * h)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            omega2 = omega ** 2
+        except OverflowError:  # a Python float raises where a numpy float gives inf
+            omega2 = np.inf
+        diag[interior] = -omega2 * m[interior]
+        ddiag[interior] = -omega2
+        # outgoing rows: (p_b - p_in)/h^2 - i*omega*sqrt(m)/h * p_b = 0
+        for mask, h in outgoing:
+            sqrt_m = np.sqrt(m[mask])
+            diag[mask] = -1j * omega * sqrt_m / h
+            ddiag[mask] = -1j * omega / (2.0 * sqrt_m * h)
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(ddiag))):
+        raise GridError(f"the operator at omega={omega} has a diagonal entry that is not a finite float")
     data = stencil.data.astype(np.complex128)
     data[diagonal] += diag
     matrix = sp.csc_matrix((data, stencil.indices, stencil.indptr), shape=stencil.shape)
@@ -469,7 +449,7 @@ def receiver_data(model: Model, omegas: Sequence[float], acquisition: Acquisitio
     bound was set on two.
 
     Each slab task densifies its SLAB_COLUMNS point loads, solves them
-    under solve_array's residual contract and refinement, and writes the
+    with grid.checked_solve, as solve_array does, and writes the
     receiver samples straight into the block, so no full wavefield and
     no dense source block is ever held; trimming the heap as each LU is
     dropped makes the peak RSS the same from one run to the next.  A

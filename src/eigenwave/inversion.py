@@ -373,7 +373,7 @@ def run_inversion(
         x = np.array(m_start.m)
     else:
         basis = build_basis(m_start.field, config.spec, max(config.n_schedule))
-        x = np.array(project(m_start.field, basis, blocks[0][1]).alpha[: blocks[0][1]])
+        x = np.array(project(m_start.field, basis, blocks[0][1]).alpha)
 
     def values_of(xvec: np.ndarray) -> np.ndarray:
         """The nodal squared slowness that the unknowns stand for."""

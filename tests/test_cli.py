@@ -11,7 +11,7 @@ import eigenwave
 from eigenwave import cli, inversion
 from eigenwave.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from eigenwave.dataset import TRACES_NAME, load_dataset
-from eigenwave.diffusion import DiffusionSpec
+from eigenwave.diffusion import DiffusionOperator, DiffusionSpec
 from eigenwave.eigenbasis import build_basis, load_basis, project, reconstruct
 from eigenwave.fileio import MANIFEST_NAME, read_field, write_field
 from eigenwave.grid import Grid2D, ScalarField
@@ -54,7 +54,6 @@ def synth_config(root, out):
         root / f"{out}.ini",
         f"""\
 [model]
-kind = salt
 c_top = 1500
 c_bottom = 2000
 c_min = 800
@@ -313,6 +312,33 @@ def test_decompose_drops_beta_with_singular_diffusion_lu(synth_dir):
         assert recon.values.tobytes() == reconstruct(project(model, basis, n)).values.tobytes()
 
 
+def test_decompose_drops_beta_whose_lift_misses(synth_dir, monkeypatch):
+    # the first build's LU is off by 1e-3 in every solve, so the lift misses
+    # its residual contract even after refinement
+    real_factor = DiffusionOperator.factor
+    factored = []
+
+    class OffLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b, trans="N"):
+            return self.lu.solve(b, trans=trans) * (1.0 + 1e-3)
+
+    def factor(self):
+        factored.append(self)
+        lu = real_factor(self)
+        return OffLU(lu) if factored[0] is self else lu
+
+    monkeypatch.setattr(DiffusionOperator, "factor", factor)
+    assert main(["decompose", "--config", basis_config(synth_dir, "dec_lift_miss")]) == EXIT_OK
+    report = (synth_dir / "dec_lift_miss" / "decomposition_report.csv").read_text().splitlines()
+    rows = [line.split(",") for line in report[1:4]]
+    assert [float(r[0]) for r in rows] == [0.01, 0.1, 1.0]
+    assert rows[0][1:] == ["failed", "failed"]
+    assert all("failed" not in r for r in rows[1:])
+
+
 def test_decompose_with_every_beta_failed_writes_nothing(synth_dir, capsys):
     cfg = basis_config(synth_dir, "dec_all_failed", eta="eta2")
     path = synth_dir / "dec_all_failed.ini"
@@ -392,6 +418,33 @@ def test_dump_basis_round_trip(synth_dir):
 def test_unknown_eta_is_config_error(synth_dir, command):
     cfg = basis_config(synth_dir, f"bad_eta_{command}", eta="eta42")
     assert main([command, "--config", cfg]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        # 2 pi 1e160 squared overflows a Python float
+        ({"frequencies = 4 5 6": "frequencies = 4 1e160"}, "omega=6.28"),
+        # m = 1e300 at omega = 2 pi 16000: omega^2 m overflows to inf
+        ({"c_top = 1500": "c_top = 1e-150", "c_bottom = 2000": "c_bottom = 1e-150",
+          "c_min = 800": "c_min = 0", "domes = 600,300,200,100,2400": "# no domes",
+          "frequencies = 4 5 6": "frequencies = 16000"}, "omega=100530"),
+    ],
+    ids=["omega-squared-overflows", "huge-slowness"],
+)
+def test_unrepresentable_operator_is_numerical_error(synth_dir, capsys, request, lines, message):
+    out = f"unrepresentable_{request.node.callspec.id}"
+    cfg = synth_config(synth_dir, out)
+    path = synth_dir / f"{out}.ini"
+    text = path.read_text()
+    for line, bad in lines.items():
+        assert f"\n{line}\n" in text
+        text = text.replace(f"\n{line}\n", f"\n{bad}\n")
+    path.write_text(text)
+    assert main(["synth", "--config", cfg]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and "not a finite float" in err and message in err
+    assert not (synth_dir / out).exists()
 
 
 def test_basis_larger_than_interior_is_numerical_error(synth_dir):
@@ -497,8 +550,11 @@ def test_nonpositive_model_file_is_io_error(synth_dir, capsys, command):
         # a value its parser rejects, in a section that starts further up
         ("[model]\nc_min = 800\n\nc_top = 1500 m/s\n",
          "4: [model] c_top = '1500 m/s': could not convert string to float: '1500 m/s'"),
+        # the removed [model] kind switch
+        ("[model]\nc_top = 1500\nkind = layered\n", "3: unknown key 'kind' in [model]"),
     ],
-    ids=["key-sharing-a-prefix", "key-valid-in-another-section", "unknown-section", "bad-value"],
+    ids=["key-sharing-a-prefix", "key-valid-in-another-section", "unknown-section", "bad-value",
+         "removed-model-kind"],
 )
 def test_schema_error_names_its_line(tmp_path, capsys, text, where):
     path = tmp_path / "c.ini"

@@ -13,7 +13,7 @@ from eigenwave.diffusion import (
     gradient_norms,
     lift_from_operator,
 )
-from eigenwave.grid import Grid2D, ScalarField
+from eigenwave.grid import Grid2D, ScalarField, SolveError
 
 
 def field(grid, values):
@@ -277,6 +277,20 @@ class TestLift:
         interior = np.linalg.solve(A, rhs)
         inner2d = m0.as_2d()[1:-1, 1:-1].reshape(-1)
         np.testing.assert_allclose(inner2d, interior, atol=1e-8)
+
+    def test_lu_that_misses_raises_solve_error(self):
+        rng = np.random.default_rng(34)
+        g = Grid2D(nx=7, nz=6, hx=1.0, hz=1.0)
+        op = assemble_diffusion(field(g, rng.random(42) + 0.1))
+        lu = op.factor()
+
+        class OffLU:  # every solve 1e-3 off, so refinement cannot rescue it
+            def solve(self, b, trans="N"):
+                return lu.solve(b, trans=trans) * (1.0 + 1e-3)
+
+        object.__setattr__(op, "_lu", OffLU())
+        with pytest.raises(SolveError, match="residual contract missed"):
+            lift_from_operator(op, field(g, rng.standard_normal(42)))
 
     def test_boundary_values_preserved(self):
         rng = np.random.default_rng(33)

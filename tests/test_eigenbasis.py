@@ -219,7 +219,7 @@ class TestBasis:
             basis.grid, basis.m0.values + 3.0 * basis.eigenvectors[:, 1]
         )
         dec = project(target, basis, 5)
-        expected = np.zeros(basis.n_vectors)
+        expected = np.zeros(5)
         expected[1] = 3.0
         np.testing.assert_allclose(dec.alpha, expected, atol=1e-9)
 
@@ -235,9 +235,9 @@ class TestBasis:
 
         a = rng.standard_normal(basis.n_vectors)
         b = rng.standard_normal(basis.n_vectors)
-        ra = reconstruct(DecomposedModel(basis, a, basis.n_vectors)).values
-        rb = reconstruct(DecomposedModel(basis, b, basis.n_vectors)).values
-        rab = reconstruct(DecomposedModel(basis, a + b, basis.n_vectors)).values
+        ra = reconstruct(DecomposedModel(basis, a)).values
+        rb = reconstruct(DecomposedModel(basis, b)).values
+        rab = reconstruct(DecomposedModel(basis, a + b)).values
         np.testing.assert_allclose(rab, ra + rb - basis.m0.values, rtol=1e-10, atol=1e-12)
 
     def test_complete_basis_reproduces_field(self):
@@ -275,7 +275,7 @@ class TestBasis:
         psi = basis.eigenvectors[:, :n_active]
         expected = np.linalg.lstsq(psi, m.values - basis.m0.values, rcond=None)[0]
         assert np.linalg.norm(alpha[:n_active] - expected) <= 1e-12 * np.linalg.norm(expected)
-        assert np.all(alpha[n_active:] == 0.0)
+        assert alpha.shape == (n_active,)
 
     def test_project_solves_no_least_squares_problem(self, salt_basis, monkeypatch):
         m, basis = salt_basis

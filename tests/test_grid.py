@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenwave.grid import (
+    RESIDUAL_RTOL,
     Grid2D,
     GridError,
     Model,
     ScalarField,
+    SolveError,
+    checked_solve,
     clamp_model,
     flux_stencil,
     relative_error,
@@ -223,3 +228,46 @@ class TestClampModel:
         assert c[0] == pytest.approx(1000.0)
         assert c[1] == pytest.approx(4000.0)
         assert np.all(c >= 1000.0 - 1e-9) and np.all(c <= 4000.0 + 1e-9)
+
+
+class TestCheckedSolve:
+    """The one residual contract, with stub LUs standing in for SuperLU."""
+
+    @staticmethod
+    def system():
+        n = 20
+        op = sp.csc_matrix(np.diag(np.full(n, 4.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1))
+        return op, spla.splu(op), np.random.default_rng(41).standard_normal((n, 3))
+
+    class ScriptedLU:
+        """Returns the exact solve plus solve_errors[k] * x on the k-th call."""
+
+        def __init__(self, lu, solve_errors):
+            self.lu, self.solve_errors, self.calls = lu, list(solve_errors), 0
+
+        def solve(self, b, trans="N"):
+            x = self.lu.solve(b, trans=trans)
+            err = self.solve_errors[min(self.calls, len(self.solve_errors) - 1)]
+            self.calls += 1
+            return x + err * x
+
+    def test_nan_solution_raises(self):
+        op, lu, b = self.system()
+        stub = self.ScriptedLU(lu, [np.nan])
+        with pytest.raises(SolveError, match=r"\|\|Au-f\|\|=nan"):
+            checked_solve(stub, op, b)
+        assert stub.calls == 2  # the refinement round ran and could not help
+
+    def test_nan_right_hand_side_raises(self):
+        op, lu, b = self.system()
+        b[3, 1] = np.nan
+        with pytest.raises(SolveError, match="residual contract missed"):
+            checked_solve(lu, op, b)
+
+    def test_one_refinement_round_rescues_a_near_miss(self):
+        op, lu, b = self.system()
+        stub = self.ScriptedLU(lu, [1e-6, 0.0])  # off by 1e-6 relative, then exact
+        x = checked_solve(stub, op, b)
+        assert stub.calls == 2
+        for j in range(b.shape[1]):
+            assert np.linalg.norm(op @ x[:, j] - b[:, j]) <= RESIDUAL_RTOL * max(1.0, np.linalg.norm(b[:, j]))

@@ -112,6 +112,22 @@ class TestAssembly:
         with pytest.raises(GridError):
             assemble(homogeneous_model(g), omega=0.0)
 
+    @pytest.mark.parametrize(
+        "m, omega",
+        [
+            (1e-6, 2.0 * np.pi * 1e160),  # a Python float's omega ** 2 overflows
+            (1e-6, np.float64(2.0 * np.pi * 1e160)),  # a numpy float's gives inf
+            (1e-6, float("nan")),
+            (1e300, 1e5),  # omega^2 m overflows
+        ],
+        ids=["python-float-omega", "numpy-float-omega", "nan-omega", "huge-m"],
+    )
+    def test_non_finite_diagonal_is_rejected(self, m, omega):
+        g = Grid2D(nx=12, nz=8, hx=10.0, hz=10.0)
+        model = Model(ScalarField(g, np.full(g.n_nodes, m)))
+        with pytest.raises(GridError, match="not a finite float"):
+            assemble(model, omega)
+
 
 class TestPointSource:
     def test_on_node(self):
