@@ -3,8 +3,12 @@
 The nine coefficient formulas come from classical image-processing
 regularizers (Perona-Malik, Geman, Green, Charbonnier, Lorentzian,
 Gaussian, total variation, Tikhonov).  All of them act on gradient
-magnitudes normalized by their maximum over the grid, so values stay in
-[0, 1] regardless of the physical units of the field.
+magnitudes v normalized by their maximum over the grid, so v stays in
+[0, 1] regardless of the physical units of the field.  Each is an
+edge-stopping function: it does not increase with v, so it is largest
+where the gradient vanishes, and one formula holds there too.  At v = 0
+eta1, eta2 and eta9 give 1, eta3 gives 2/beta, eta4 1/beta^2, eta5 and
+eta7 1/beta, eta6 beta, and eta8 1/ETA8_FLOOR.
 
 The operator -div(eta grad) with homogeneous Dirichlet edges is the
 interior block of the flux stencil Kx + Kz of grid.flux_stencil; the
@@ -36,8 +40,8 @@ ETA_KINDS = (
 )
 BETA_FREE_KINDS = ("eta8", "eta9")
 
-# below this raw gradient magnitude the 1/|grad| style formulas switch to 1
-GRAD_THRESHOLD = 1e-12
+# the smallest normalized gradient eta8 = 1/v sees; eval_eta says why 1e-3
+ETA8_FLOOR = 1e-3
 
 
 class DiffusionError(ValueError):
@@ -69,9 +73,6 @@ class GradientNorms:
     ngrad1: ScalarField
     gamma1: float
 
-    def raw_magnitude(self) -> np.ndarray:
-        return self.ngrad1.values * self.gamma1
-
 
 def gradient_norms(m: ScalarField) -> GradientNorms:
     """Normalized |grad m|, central differences inside, one-sided on the
@@ -87,7 +88,29 @@ def gradient_norms(m: ScalarField) -> GradientNorms:
 
 
 def eval_eta(spec: DiffusionSpec, norms: GradientNorms) -> ScalarField:
-    """Pointwise coefficient field; strictly positive for every kind."""
+    """Pointwise coefficient field, positive and finite for every kind; a
+    beta at which a formula overflows raises DiffusionError.
+
+    With v the normalized |grad m| and b = beta, each kind is one formula
+    that holds at v = 0 too (value there in brackets):
+
+        eta1  b / (b + v^2)               [1]
+        eta2  exp(-v^2 / b)               [1]
+        eta3  2b / (b + v^2)^2            [2/b]
+        eta4  tanh(v/b) / (b v)           [1/b^2, its limit]
+        eta5  sqrt(b / (b + v^2)) / b     [1/b]
+        eta6  b / (1 + b v^2)^2           [b]
+        eta7  exp(-v^2 / b) / b           [1/b]
+        eta8  1 / max(v, ETA8_FLOOR)      [1/ETA8_FLOOR]
+        eta9  1                           [1]
+
+    Total variation, 1/v, has no finite value at v = 0, so eta8 floors v
+    at ETA8_FLOOR.  On a 161x81 salt model whose dome interior is flat,
+    an N = 100 basis compresses the model to 1.68/1.16/1.17/1.17% with
+    the floor at 1e-2/1e-3/1e-4/1e-6.  1e-2 also caps 805 nodes that are
+    not flat, and below 1e-3 the worst eigenpair residual/lambda grows
+    (7.8e-12 at 1e-3, 5.9e-9 at 1e-6) with no gain in compression.
+    """
     grid = norms.ngrad1.grid
     v1 = norms.ngrad1.values
     v2 = v1 * v1  # the normalized |grad m|^2
@@ -101,9 +124,7 @@ def eval_eta(spec: DiffusionSpec, norms: GradientNorms) -> ScalarField:
     elif kind == "eta3":
         out = 2.0 * b / (b + v2) ** 2
     elif kind == "eta4":
-        small = norms.raw_magnitude() < GRAD_THRESHOLD
-        v1_safe = np.where(small, 1.0, v1)
-        out = np.where(small, 1.0, np.tanh(v1_safe / b) / (b * v1_safe))
+        out = np.divide(np.tanh(v1 / b), b * v1, out=np.full_like(v1, 1.0 / b / b), where=v1 > 0.0)
     elif kind == "eta5":
         out = (1.0 / b) * np.sqrt(b / (b + v2))
     elif kind == "eta6":
@@ -111,17 +132,15 @@ def eval_eta(spec: DiffusionSpec, norms: GradientNorms) -> ScalarField:
     elif kind == "eta7":
         out = np.exp(-v2 / b) / b
     elif kind == "eta8":
-        small = norms.raw_magnitude() < GRAD_THRESHOLD
-        v1_safe = np.where(small, 1.0, v1)
-        out = np.where(small, 1.0, 1.0 / v1_safe)
+        out = 1.0 / np.maximum(v1, ETA8_FLOOR)
     else:  # eta9
         out = np.ones(grid.n_nodes)
 
     # exp-style formulas underflow to 0.0 at extreme beta; the coefficient
     # is mathematically positive, so floor it at the smallest normal float
     out = np.maximum(out, np.finfo(np.float64).tiny)
-    if not np.all(out > 0.0):
-        raise DiffusionError(f"{kind} produced nonpositive values (beta={b})")
+    if not np.all((out > 0.0) & (out < np.inf)):  # 1/b^2 overflows for b below 1e-154
+        raise DiffusionError(f"{kind} is not positive and finite at beta={b}")
     return ScalarField(grid, out)
 
 

@@ -480,6 +480,7 @@ BAD_VALUES = [
     ("synth", "hx = 50", "hx = inf", "spacings"),
     ("synth", "hx = 50", "hx = 1e200", "spacings"),
     ("synth", "hx = 50", "hx = 50\nx0 = nan", "must be finite"),
+    ("synth", "domes = 600,300,200,100,2400", "domes = 600,300,200,100", "dome needs"),
 ]
 
 
@@ -505,6 +506,32 @@ def test_bad_value_is_config_error(synth_dir, capsys, case, command, line, bad, 
     assert main([command, "--config", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {cfg}") and message in err
+    assert not (synth_dir / out).exists()
+
+
+def test_missing_config_is_io_error(tmp_path, capsys):
+    assert main(["synth", "--config", str(tmp_path / "no_such.ini")]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o error: config file not found")
+
+
+def test_unparseable_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "c.ini"
+    path.write_text("nx = 24\n[grid]\n", encoding="utf-8")  # a key before any section
+    assert main(["synth", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: cannot parse {path}")
+
+
+@pytest.mark.parametrize("command", ["forward", "decompose", "dump-basis"])
+def test_missing_model_file_is_io_error(synth_dir, capsys, command):
+    out = f"no_model_{command}"
+    cfg = {"forward": forward_config, "decompose": basis_config, "dump-basis": basis_config}[command](
+        synth_dir, out
+    )
+    path = synth_dir / f"{out}.ini"
+    path.write_text(path.read_text().replace("path = synth/model_true.ewf", "path = no_such.ewf"))
+    assert main([command, "--config", cfg]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: model file not found") and "no_such.ewf" in err
     assert not (synth_dir / out).exists()
 
 

@@ -130,6 +130,13 @@ def test_dataset_rejects_bad_frequencies(saved, freqs):
         replace(ds, frequencies=freqs)
 
 
+@pytest.mark.parametrize("block", [np.s_[:2], np.s_[:, :1], np.s_[:, :, 1:], np.s_[0]])
+def test_dataset_rejects_block_of_wrong_shape(saved, block):
+    ds, _ = saved
+    with pytest.raises(GridError, match=re.escape("data must have shape (3, 2, 3)")):
+        replace(ds, data=ds.data[block])
+
+
 def test_mixed_source_depths_rejected(saved):
     _, root = saved
     edit_manifest(root, lambda lines: [l.replace("  30.0 20.0 ", "  30.0 25.0 ") for l in lines])

@@ -104,15 +104,35 @@ class TestEvalEta:
         out = eval_eta(DiffusionSpec("eta3", beta), make_norms(g, v1))
         np.testing.assert_allclose(out.values, 1.0 / (2.0 * beta), rtol=1e-13)
 
-    def test_eta4_eta8_threshold(self):
+    @given(
+        kind=st.sampled_from(ETA_KINDS),
+        beta=st.floats(1e-7, 1e6),
+        v=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=15, max_size=15),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_edge_stopping_contract(self, kind, beta, v):
+        """Every kind is an edge-stopping function of the normalized gradient:
+        positive and finite, not increasing, and at v = 0 equal to its limit
+        as v -> 0+, so a flat node is not singled out."""
+        g = Grid2D(nx=4, nz=4, hx=1.0, hz=1.0)
+        spec = DiffusionSpec(kind, beta)
+        v1 = np.sort([0.0, *v])  # the smallest value is exactly zero
+        out = eval_eta(spec, make_norms(g, v1)).values
+        assert np.all(np.isfinite(out)) and np.all(out > 0.0)
+        # rounding may leave a value a few ulps above that of a smaller v
+        assert np.all(out[1:] <= out[:-1] * (1.0 + 1e-14))
+        near_zero = eval_eta(spec, make_norms(g, np.full(16, 1e-12))).values
+        assert out[0] == pytest.approx(near_zero[0], rel=1e-9)
+
+    @pytest.mark.parametrize("kind, beta", [("eta4", 1e-160), ("eta5", 1e-320)])
+    def test_overflow_is_diffusion_error(self, kind, beta):
+        # eta4's 1/beta^2 at v = 0 and eta5's 1/beta overflow; a decompose
+        # sweep drops a beta on DiffusionError instead of failing the run
         g = Grid2D(nx=4, nz=3, hx=1.0, hz=1.0)
         v1 = np.full(12, 0.5)
-        v1[3] = 0.0  # raw gradient below threshold at one node
-        norms = make_norms(g, v1)
-        for kind in ("eta4", "eta8"):
-            out = eval_eta(DiffusionSpec(kind, 2.0), norms)
-            assert out.values[3] == 1.0
-            assert np.all(out.values > 0.0)
+        v1[3] = 0.0
+        with pytest.raises(DiffusionError, match=f"{kind} is not positive and finite"):
+            eval_eta(DiffusionSpec(kind, beta), make_norms(g, v1))
 
     def test_eta8_is_inverse_gradient(self):
         g = Grid2D(nx=4, nz=3, hx=1.0, hz=1.0)

@@ -135,20 +135,40 @@ class TestSmallestEigenpairs:
         with pytest.raises(EigenSolveError, match="orthonormality"):
             smallest_eigenpairs(op, 4)
 
-    @pytest.mark.parametrize("spec", [DiffusionSpec("eta3", 1e-5), DiffusionSpec("eta4", 1e-7)])
+    @pytest.mark.parametrize(
+        "error",
+        [spla.ArpackError(-9999), spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))],
+        ids=["ArpackError", "ArpackNoConvergence"],
+    )
+    def test_arpack_failure_is_eigen_solve_error(self, monkeypatch, error):
+        g = Grid2D(nx=7, nz=6, hx=1.0, hz=1.0)
+        op = assemble_diffusion(field(g, np.linspace(1.0, 2.0, g.n_nodes)))
+
+        def failing_eigsh(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(spla, "eigsh", failing_eigsh)
+        with pytest.raises(EigenSolveError, match="ARPACK failed for 4 pairs") as info:
+            smallest_eigenpairs(op, 4)
+        assert info.value.__cause__ is error
+
+    @pytest.mark.parametrize("spec", [DiffusionSpec("eta3", 1e-5), DiffusionSpec("eta4", 1e-9)])
     def test_ill_conditioned_gives_smallest_pairs_or_raises(self, spec):
-        # condition numbers 2e10 and 3e9: a solver may give up, but it must
-        # not return pairs that pass the residual check yet skip smaller ones
+        # condition numbers 2.2e10 and 1.6e10 (eta4 spans about 1/beta, from
+        # 1/beta^2 in the flat dome down to 1/beta at the steepest edge): a
+        # solver may give up, but it must not return pairs that pass the
+        # residual check yet skip smaller ones
         g = Grid2D(nx=40, nz=20, hx=50.0, hz=50.0)
         salt = SaltModelSpec(1500.0, 2000.0, (Dome(1000.0, 500.0, 300.0, 200.0, 4000.0),), 800.0, 5000.0)
         m = make_salt_model(salt, g).field
         op = assemble_diffusion(eval_eta(spec, gradient_norms(m)))
+        dense = np.linalg.eigvalsh(op.matrix.toarray())
+        assert dense[-1] / dense[0] > 1e10
         try:
             vals, _ = smallest_eigenpairs(op, 30)
         except EigenSolveError:
             return
-        dense = np.linalg.eigvalsh(op.matrix.toarray())[:30]
-        np.testing.assert_allclose(vals, dense, rtol=1e-5)
+        np.testing.assert_allclose(vals, dense[:30], rtol=1e-5)
 
     def test_backward_error_accepts_cond_2e8(self):
         # eta3 beta=1e-4 (cond 2.2e8): ||Av - lam v|| reaches ~1.4e-8 lam at
@@ -496,6 +516,20 @@ class TestLoadBasisChecks:
 
         with pytest.raises(FieldFileError, match="eigenvectors"):
             load_basis(edited_copy(archive, tmp_path / "b", edit))
+
+    def test_n_must_match_eigenvalue_count(self, archive, tmp_path):
+        bad = edited_copy(
+            archive, tmp_path / "b", lambda lines: ["n = 3" if l.startswith("n =") else l for l in lines]
+        )
+        with pytest.raises(FieldFileError, match="n = 3, but 4 eigenvalues"):
+            load_basis(bad)
+
+    def test_blank_lines_load(self, archive, tmp_path):
+        # a blank line after every line, the eigenvalue list included
+        spaced = edited_copy(archive, tmp_path / "b", lambda lines: [x for l in lines for x in (l, "")])
+        back, ref = load_basis(spaced), load_basis(archive)
+        np.testing.assert_array_equal(back.eigenvalues, ref.eigenvalues)
+        np.testing.assert_array_equal(back.eigenvectors, ref.eigenvectors)
 
     def test_truncated_payload(self, archive, tmp_path):
         bad = edited_copy(archive, tmp_path / "b", lambda lines: lines)

@@ -208,6 +208,13 @@ class TestSpeedSlowness:
             Model(field(g, np.full(9, -1.0)), 10, 100)
 
 
+    @pytest.mark.parametrize("c_min, c_max", [(100.0, 100.0), (200.0, 100.0), (-1.0, 100.0)])
+    def test_model_bounds_must_be_ordered(self, c_min, c_max):
+        g = Grid2D(nx=3, nz=3, hx=1.0, hz=1.0)
+        with pytest.raises(GridError, match="need 0 <= c_min < c_max"):
+            Model(field(g, np.full(9, 1e-6)), c_min, c_max)
+
+
 class TestClampModel:
     def test_no_clamp_inside_bounds(self):
         g = Grid2D(nx=3, nz=3, hx=1.0, hz=1.0)

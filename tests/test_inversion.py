@@ -168,6 +168,13 @@ class TestGradientAlpha:
         out = gradient_alpha(ScalarField(g, v), basis9, 4)
         np.testing.assert_allclose(out, 0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("n_active", [-1, 5])
+    def test_n_active_out_of_range(self, basis9, n_active):
+        g_nodal = ScalarField(basis9.grid, np.ones(basis9.grid.n_nodes))
+        with pytest.raises(GridError, match=f"n_active {n_active} out of range"):
+            gradient_alpha(g_nodal, basis9, n_active)
+        assert gradient_alpha(g_nodal, basis9, 0).shape == (0,)
+
     def test_matches_inner_product_loop(self, basis9):
         rng = np.random.default_rng(23)
         g = basis9.grid
@@ -664,6 +671,15 @@ class TestConfigValidation:
     def test_schedule_must_be_nondecreasing(self):
         with pytest.raises(GridError):
             InversionConfig(frequencies=(2.0,), n_schedule=(5, 3), spec=DiffusionSpec("eta9"))
+
+    def test_needs_a_frequency(self):
+        with pytest.raises(GridError, match="at least one frequency"):
+            InversionConfig(frequencies=())
+
+    def test_n_iter_must_be_nonnegative(self):
+        with pytest.raises(GridError, match="n_iter must be nonnegative"):
+            InversionConfig(frequencies=(2.0,), n_iter=-1)
+        assert InversionConfig(frequencies=(2.0,), n_iter=0).n_iter == 0
 
     def test_eigen_mode_needs_spec_and_schedule(self):
         with pytest.raises(GridError, match="needs a DiffusionSpec"):

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from eigenwave import helmholtz
+from eigenwave.dataset import FrequencyDataset
 from eigenwave.diffusion import DiffusionSpec
 from eigenwave.grid import Grid2D, GridError
 from eigenwave.helmholtz import (
@@ -24,6 +25,7 @@ from eigenwave.inversion import InversionConfig, run_inversion
 from eigenwave.synthetics import (
     Dome,
     SaltModelSpec,
+    add_data_noise,
     add_model_noise,
     generate_data,
     make_layered_model,
@@ -77,6 +79,26 @@ def survey(n_sources):
         receivers=tuple((x, 50.0) for x in np.linspace(50.0, 1100.0, 10)),
     )
     return model, acq
+
+
+@pytest.mark.parametrize(
+    "dome",
+    [Dome(x=1100.0, z=300.0, rx=100.0, rz=100.0, speed=2400.0),  # past the right edge
+     Dome(x=600.0, z=50.0, rx=200.0, rz=100.0, speed=2400.0)],  # above the top
+    ids=["right", "top"],
+)
+def test_dome_outside_the_domain_rejected(dome):
+    g = Grid2D(nx=24, nz=12, hx=50.0, hz=50.0)
+    with pytest.raises(GridError, match="extends outside the domain"):
+        make_salt_model(SaltModelSpec(1500.0, 2000.0, (dome,), c_min=800.0, c_max=5000.0), g)
+
+
+@pytest.mark.parametrize("snr_db", [np.nan, np.inf, -np.inf])
+def test_data_noise_needs_a_finite_snr(snr_db):
+    _, acq = survey(2)
+    ds = FrequencyDataset(acquisition=acq, frequencies=(4.0,), data=np.ones((1, 2, 10)))
+    with pytest.raises(GridError, match="snr_db must be finite"):
+        add_data_noise(ds, snr_db, seed=1)
 
 
 def reference_data(model, acq, freqs):
