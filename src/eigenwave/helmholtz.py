@@ -7,13 +7,14 @@ and scaled by 1/h so boundary rows have the same magnitude as interior
 rows.  Bottom corners take the condition of the vertical edge they touch,
 top corners are Dirichlet.
 
-So the rows come from the flux stencil (Kx, Kz) of grid.flux_stencil at
-eta = 1: interior rows are Kx + Kz, side-edge rows Kx, bottom rows Kz,
-Dirichlet rows identity rows, and the model adds a diagonal.  These rows
-and the row masks are cached per grid, and every operator shares their
-read-only index arrays.  In one measurement the cache took
-9 ms to build at 161x81 (25 ms at 321x161), about one whole assembly
-without it (7 ms, 31 ms); an assembly from it takes 0.4 ms (1.6 ms).
+So the rows come from the five-point stencil of grid.neighbour_table at
+eta = 1: interior rows take the x and z faces, side-edge rows (with both
+bottom corners) the x faces, bottom rows the z faces, Dirichlet rows are
+identity rows, and the model adds a diagonal.  These rows and the row
+masks are cached per grid, and every operator shares their read-only
+index arrays.  The cache took 2.5-4.2 ms to build at 161x81 (11-17 ms
+at 321x161) once the grid's table existed, against 7-11 ms (22-27 ms)
+from sparse products; an assembly from it takes 0.3-0.5 ms (1.3-1.8 ms).
 
 One sparse LU factorization serves every right-hand side at a frequency,
 including the adjoint (conjugate-transposed) systems.
@@ -89,7 +90,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import PERMC_SPEC, Grid2D, GridError, Model, ScalarField, SolveError, checked_solve, flux_stencil
+from .grid import (
+    PERMC_SPEC, SELF, Grid2D, GridError, Model, ScalarField, SolveError, checked_solve, face_weights, neighbour_table,
+)
 
 # right-hand-side columns per SuperLU solve call; see solve_array
 SLAB_COLUMNS = 8
@@ -330,12 +333,13 @@ def _fixed_rows(grid: Grid2D):
     dirichlet = iz == 0
     side = ((ix == 0) | (ix == grid.nx - 1)) & ~dirichlet  # with the bottom corners
     bottom = (iz == grid.nz - 1) & ~side
-    kx, kz = flux_stencil(ScalarField(grid, np.ones(n)))
-
-    def rows(mask):  # a sparse product stores no zeros, so the other rows drop out
-        return sp.diags(mask.astype(np.float64))
-
-    stencil = (rows(interior) @ (kx + kz) + rows(side) @ kx + rows(bottom) @ kz + rows(dirichlet)).tocsc()
+    table = neighbour_table(grid)
+    # interior rows keep every coupling, side rows the x ones and bottom rows the z ones
+    x_rows, z_rows = interior | side, interior | bottom
+    keep = np.stack([z_rows, x_rows, np.ones(n, bool), x_rows, z_rows], axis=1) & (table.node >= 0)
+    rows = table.rows(face_weights(ScalarField(grid, np.ones(n))), keep)
+    rows[dirichlet, SELF] = 1.0  # an identity row
+    stencil = sp.csc_matrix((rows[keep], (np.nonzero(keep)[0], table.node[keep])), shape=(n, n))
     diagonal = np.flatnonzero(stencil.indices == np.repeat(np.arange(n), np.diff(stencil.indptr)))
     for arr in (stencil.data, stencil.indices, stencil.indptr, diagonal, interior, side, bottom):
         arr.setflags(write=False)

@@ -358,7 +358,11 @@ def run_inversion(
     model is unchanged at block entry.  Nodal mode has no basis and
     optimizes every node value directly.  Every candidate model is
     clamped to the admissible speed box before simulation and clamp
-    counts are logged.
+    counts are logged.  The misfit the optimizer sees is J(clamp(x)), so
+    its gradient is zero at every node the clamp moved: the nodal
+    gradient is zeroed there before the chain rule, which is the exact
+    derivative away from the bounds (the active-set projection for bound
+    constraints; Bertsekas, SIAM J. Control Optim. 1982).
     """
     last_time = perf_counter()
     grid = m_start.grid
@@ -395,7 +399,9 @@ def run_inversion(
         return evaluator.value(clamped(xvec)[0], index)
 
     def eval_grad(xvec: np.ndarray) -> np.ndarray:
-        g_nodal = evaluator.gradient(clamped(xvec)[0], index)
+        model = clamped(xvec)[0]
+        g_nodal = evaluator.gradient(model, index)
+        g_nodal[model.m != values_of(xvec)] = 0.0  # J does not see a node the clamp moved
         if basis is None:
             return g_nodal
         return gradient_alpha(ScalarField(grid, g_nodal), basis, xvec.size)

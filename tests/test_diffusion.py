@@ -178,30 +178,27 @@ class TestEvalEta:
 
 
 def dense_diffusion_reference(eta):
-    """Loop-based interior assembly of -div(eta grad) with face averages."""
+    """Loop-based -div(eta grad) with face averages: its interior rows,
+    n_nodes wide (the matrix is their interior columns, boundary_op minus
+    their edge columns)."""
     g = eta.grid
     e = eta.as_2d()
-    mx, mz = g.nx - 2, g.nz - 2
-    A = np.zeros((mx * mz, mx * mz))
+    rows = []
     ihx2, ihz2 = 1.0 / g.hx**2, 1.0 / g.hz**2
-    for jz in range(mz):
-        for jx in range(mx):
-            iz, ix = jz + 1, jx + 1
-            row = jz * mx + jx
-            ce = 0.5 * (e[iz, ix] + e[iz, ix + 1]) * ihx2
-            cw = 0.5 * (e[iz, ix] + e[iz, ix - 1]) * ihx2
-            cs = 0.5 * (e[iz, ix] + e[iz + 1, ix]) * ihz2
-            cn = 0.5 * (e[iz, ix] + e[iz - 1, ix]) * ihz2
-            A[row, row] = ce + cw + cs + cn
-            if jx + 1 < mx:
-                A[row, row + 1] = -ce
-            if jx - 1 >= 0:
-                A[row, row - 1] = -cw
-            if jz + 1 < mz:
-                A[row, row + mx] = -cs
-            if jz - 1 >= 0:
-                A[row, row - mx] = -cn
-    return A
+    for iz in range(1, g.nz - 1):
+        for ix in range(1, g.nx - 1):
+            row = np.zeros(g.n_nodes)
+            i = g.flatten(ix, iz)
+            for j, c in (
+                (g.flatten(ix + 1, iz), 0.5 * (e[iz, ix] + e[iz, ix + 1]) * ihx2),
+                (g.flatten(ix - 1, iz), 0.5 * (e[iz, ix] + e[iz, ix - 1]) * ihx2),
+                (g.flatten(ix, iz + 1), 0.5 * (e[iz, ix] + e[iz + 1, ix]) * ihz2),
+                (g.flatten(ix, iz - 1), 0.5 * (e[iz, ix] + e[iz - 1, ix]) * ihz2),
+            ):
+                row[i] += c
+                row[j] = -c
+            rows.append(row)
+    return np.array(rows)
 
 
 class TestAssembleDiffusion:
@@ -227,9 +224,22 @@ class TestAssembleDiffusion:
         g = Grid2D(nx=7, nz=7, hx=1.25, hz=0.75)
         eta = field(g, rng.random(49) + 0.2)
         A = assemble_diffusion(eta).matrix.toarray()
-        R = dense_diffusion_reference(eta)
+        R = dense_diffusion_reference(eta)[:, g.interior_mask()]
         # identical formulas, summation order may differ by one rounding
         np.testing.assert_allclose(A, R, rtol=1e-14, atol=1e-15)
+
+    def test_canonical_and_matches_dense_reference_non_square(self):
+        rng = np.random.default_rng(26)
+        g = Grid2D(nx=8, nz=6, hx=0.75, hz=1.25)
+        eta = field(g, rng.random(g.n_nodes) + 0.2)
+        op = assemble_diffusion(eta)
+        R = dense_diffusion_reference(eta)
+        interior = g.interior_mask()
+        for A in (op.matrix, op.boundary_op):
+            assert A.has_canonical_format  # sorted indices, no duplicates
+        np.testing.assert_allclose(op.matrix.toarray(), R[:, interior], rtol=1e-14, atol=0.0)
+        edge = np.where(interior, 0.0, -R)
+        np.testing.assert_array_equal(op.boundary_op.toarray(), edge)
 
     def test_positive_definite(self):
         rng = np.random.default_rng(25)
@@ -276,7 +286,7 @@ class TestLift:
         m = field(g, rng.standard_normal(225))
         m0 = lift_from_operator(assemble_diffusion(eta), m)
         # fully independent dense path: loop-built matrix and boundary rhs
-        A = dense_diffusion_reference(eta)
+        A = dense_diffusion_reference(eta)[:, g.interior_mask()]
         e = eta.as_2d()
         m2 = m.as_2d()
         mx, mz = g.nx - 2, g.nz - 2

@@ -13,8 +13,14 @@ from eigenwave.grid import (
     ScalarField,
     SolveError,
     checked_solve,
+    EAST,
+    NORTH,
+    SELF,
+    SOUTH,
+    WEST,
     clamp_model,
-    flux_stencil,
+    face_weights,
+    neighbour_table,
     relative_error,
     slowness_to_speed,
     speed_to_slowness,
@@ -74,20 +80,31 @@ def test_interior_mask_excludes_every_edge():
     assert mask[1:-1, 1:-1].all() and mask.sum() == 3 * 2
 
 
-def test_flux_stencil_is_conservative_and_symmetric():
+def test_neighbour_table_is_conservative_and_symmetric():
     rng = np.random.default_rng(5)
     g = Grid2D(nx=6, nz=5, hx=2.0, hz=3.0)
     eta = field(g, rng.random(g.n_nodes) + 0.1)
     e = eta.as_2d()
-    kx, kz = flux_stencil(eta)
-    for k in (kx, kz):
-        A = k.toarray()
+    table = neighbour_table(g)
+    i = np.arange(g.n_nodes)
+    for k, step in ((NORTH, -g.nx), (WEST, -1), (SELF, 0), (EAST, 1), (SOUTH, g.nx)):
+        there = table.node[:, k] >= 0
+        np.testing.assert_array_equal(table.node[there, k], i[there] + step)
+    for slots in ((WEST, EAST), (NORTH, SOUTH)):  # the x part, then the z part
+        keep = np.isin(np.arange(5), slots) & (table.node >= 0)
+        rows = table.rows(face_weights(eta), keep)
+        A = np.zeros((g.n_nodes, g.n_nodes))
+        A[i, i] = rows[:, SELF]
+        for k in slots:
+            A[i[keep[:, k]], table.node[keep[:, k], k]] = rows[keep[:, k], k]
         assert np.max(np.abs(A - A.T)) == 0.0
         np.testing.assert_allclose(A.sum(axis=1), 0.0, atol=1e-15)  # no flux leaves the grid
-    # an edge node's face flux uses the face mean of eta, as inside
-    assert kx[g.flatten(0, 2), g.flatten(1, 2)] == pytest.approx(-0.5 * (e[2, 0] + e[2, 1]) / 4.0, rel=1e-15)
-    assert kz[g.flatten(3, 0), g.flatten(3, 1)] == pytest.approx(-0.5 * (e[0, 3] + e[1, 3]) / 9.0, rel=1e-15)
-    assert kx[g.flatten(3, 0), g.flatten(3, 1)] == 0.0 and kz[g.flatten(0, 2), g.flatten(1, 2)] == 0.0
+    rows = table.rows(face_weights(eta), True)
+    # an edge node's face takes the face mean of eta, as inside; beyond the edge there is none
+    assert -rows[g.flatten(0, 2), EAST] == pytest.approx(0.5 * (e[2, 0] + e[2, 1]) / 4.0, rel=1e-15)
+    assert -rows[g.flatten(3, 0), SOUTH] == pytest.approx(0.5 * (e[0, 3] + e[1, 3]) / 9.0, rel=1e-15)
+    assert rows[g.flatten(0, 2), WEST] == 0.0 and rows[g.flatten(3, 0), NORTH] == 0.0
+    assert table.node[g.flatten(0, 2), WEST] == -1 and table.node[g.flatten(3, 0), NORTH] == -1
 
 
 class TestScalarField:

@@ -82,6 +82,16 @@ class TestAssembly:
         R = dense_reference(model, omega)
         np.testing.assert_allclose(A, R, rtol=0, atol=1e-18)
 
+    def test_canonical_and_matches_dense_reference_non_square(self):
+        # nx != nz and hx != hz: interior, side, bottom, both bottom corners and top rows
+        rng = np.random.default_rng(13)
+        g = Grid2D(nx=9, nz=6, hx=20.0, hz=12.5)
+        model = speed_to_slowness(ScalarField(g, 1500.0 + 2000.0 * rng.random(g.n_nodes)), 100.0, 9000.0)
+        omega = 2 * np.pi * 6.0
+        A = assemble(model, omega).matrix
+        assert A.has_canonical_format  # the diagonal positions and SuperLU read the pattern
+        np.testing.assert_allclose(A.toarray(), dense_reference(model, omega), rtol=1e-15, atol=0.0)
+
     def test_cached_stencil_survives_operator_edits(self):
         rng = np.random.default_rng(12)
         g = Grid2D(nx=11, nz=11, hx=15.0, hz=25.0)

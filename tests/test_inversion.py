@@ -663,6 +663,57 @@ class TestChainRuleConsistency:
         np.testing.assert_allclose(alpha_new, alpha_from_nodal, rtol=1e-8, atol=1e-15)
 
 
+class TestClampedGradient:
+    @pytest.mark.parametrize("nodal", [True, False])
+    def test_matches_central_differences_with_nodes_outside_the_box(self, monkeypatch, nodal):
+        """run_inversion's gradient is that of the misfit it minimizes,
+        J(clamp(x)), which does not change along the nodes the clamp moves."""
+        from eigenwave.synthetics import make_layered_model
+
+        g, m_true, acq, ds = small_setup(seed=41, nx=17, nz=9)
+        c_min, c_max = 500.0, 1650.0  # the start's fastest nodes lie strictly outside
+        if nodal:
+            rng = np.random.default_rng(42)
+            speeds = np.where(rng.random(g.n_nodes) < 0.3, 1700.0, 1500.0) + 100.0 * rng.random(g.n_nodes)
+            m_start = speed_to_slowness(ScalarField(g, speeds), c_min, c_max)
+            cfg = InversionConfig(frequencies=(20.0,), n_iter=1)
+            values_of = np.asarray
+        else:
+            m_start = make_layered_model(g, 1500.0, 1800.0, c_min=c_min, c_max=c_max)
+            cfg = InversionConfig(frequencies=(20.0,), n_schedule=(6,), n_iter=1, spec=DiffusionSpec("eta3", 0.05))
+            basis = build_basis(m_start.field, cfg.spec, 6)
+
+            def values_of(alpha):
+                return basis.m0.values + basis.eigenvectors @ alpha
+
+        def moved(xvec):
+            values = values_of(xvec)
+            return clamp_model(ScalarField(g, values), c_min, c_max)[0].m != values
+
+        seen = {}
+
+        def capturing_step(state, eval_value, eval_grad, *args, **kwargs):
+            seen.update(x=state.x.copy(), value=eval_value, grad=eval_grad)
+            state.failed = True
+            return inversion.StepInfo(step=0.0, dir_deriv=0.0, accepted=False, n_backtracks=0, was_reset=False)
+
+        monkeypatch.setattr(inversion, "nlcg_step", capturing_step)
+        run_inversion(cfg, ds, m_start)
+        x, grad = seen["x"], seen["grad"](seen["x"])
+        assert moved(x).sum() >= 10
+        rng = np.random.default_rng(43)
+        eps = 1e-6 * np.linalg.norm(x)
+        for _ in range(5):
+            v = rng.standard_normal(x.size)
+            v /= np.linalg.norm(v)
+            plus, minus = x + eps * v, x - eps * v
+            # the same nodes stay outside the box at both points
+            assert np.array_equal(moved(plus), moved(x)) and np.array_equal(moved(minus), moved(x))
+            fd = (seen["value"](plus) - seen["value"](minus)) / (2.0 * eps)
+            an = float(grad @ v)
+            assert abs(fd - an) <= 1e-5 * max(abs(fd), abs(an))
+
+
 class TestConfigValidation:
     def test_frequencies_must_increase(self):
         with pytest.raises(GridError):
