@@ -3,12 +3,17 @@
 A field m is represented as a boundary lift m0 plus a combination of the
 orthonormal eigenvectors Psi belonging to the N smallest eigenvalues of
 -div(eta grad) with homogeneous Dirichlet conditions; the coefficients are
-Psi^T (m - m0).  build_basis factorizes the SPD matrix once; that LU gives
-the boundary lift, and it is the shift-invert operator for ARPACK's
-implicitly restarted Lanczos (scipy's eigsh with sigma = 0: the smallest
-eigenvalues of A are the largest of A^-1).  Every returned pair is checked
-against the residual and orthonormality contracts after ARPACK returns.
-Reference: Lehoucq, Sorensen & Yang, ARPACK Users' Guide (SIAM 1998).
+Psi^T (m - m0).  build_basis factorizes the SPD matrix A once; that LU gives
+the boundary lift, and ARPACK's implicitly restarted Lanczos applies it at
+every step.  The smallest eigenvalues of A are the largest of A^-1 and of
+A^-2.  Up to SQUARED_ABOVE_N pairs ARPACK runs on A^-1 (scipy's eigsh with
+sigma = 0), one solve per step; above it, on A^-2, two solves per step.
+Squaring widens the relative gaps of the wanted eigenvalues, so A^-2 takes
+fewer steps, and that pays once a step's reorthogonalization against up to
+2N + 1 Lanczos vectors, which grows with N, outweighs the extra solve, whose
+cost does not.  Every returned pair is checked against the residual and
+orthonormality contracts after ARPACK returns.
+Reference: Lehoucq, Sorensen & Yang, ARPACK Users' Guide (SIAM 1998), ch. 4.
 """
 
 from __future__ import annotations
@@ -39,6 +44,21 @@ ORTHO_TOL = 1e-8
 SIGN_TIE_RTOL = 1e-8
 # fixed internal seed: eigenvector bases must be reproducible run to run
 LANCZOS_SEED = 20260810
+# ARPACK runs on A^-2 above this many pairs, and on A^-1 up to it.  Median
+# seconds of the eigensolves for the four basis_sweep specs on the 161x81
+# salt model, A^-1 -> A^-2, over interleaved rounds (5 at 2 BLAS threads, 3
+# at 1; the LU factored beforehand):
+#   N     2 threads              1 thread
+#   20    0.52 -> 0.63 (+21%)    0.55 -> 0.70 (+27%)
+#   50    1.33 -> 1.30  (-2%)    2.00 -> 1.81  (-9%)
+#   60    1.51 -> 1.87 (+24%)    2.82 -> 2.42 (-14%)
+#   75    2.11 -> 2.13  (+1%)    3.20 -> 3.20   (0%)
+#   100   2.96 -> 2.32 (-22%)    5.19 -> 3.84 (-26%)
+#   150   4.95 -> 4.46 (-10%)    8.63 -> 6.94 (-20%)
+#   200   9.37 -> 8.80  (-6%)    16.0 -> 12.3 (-23%)
+# Above N = 75, A^-2 wins at both thread counts; at 75 and below, it loses
+# or ties at 2 threads.
+SQUARED_ABOVE_N = 75
 
 
 class EigenSolveError(RuntimeError):
@@ -47,7 +67,7 @@ class EigenSolveError(RuntimeError):
 
 
 def smallest_eigenpairs(op: DiffusionOperator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """N smallest eigenpairs of op.matrix A (SPD) by shift-invert ARPACK.
+    """N smallest eigenpairs of op.matrix A (SPD) by ARPACK on A^-1 or A^-2.
 
     Returns eigenvalues ascending and an orthonormal (dim, n) eigenvector
     block, each pair satisfying ||A v - lam v|| <= EIG_RTOL * ||A||_1.  That
@@ -57,9 +77,14 @@ def smallest_eigenpairs(op: DiffusionOperator, n: int) -> tuple[np.ndarray, np.n
     within SIGN_TIE_RTOL of its largest: on a mirror-symmetric model the two
     largest entries of an antisymmetric vector tie, and picking the single
     largest would leave the sign to rounding.  The start vector is drawn
-    from LANCZOS_SEED, so the result is reproducible.  The shift-invert
-    operator is op's LU, which the lift shares.  ARPACK needs n < dim - 1,
-    so larger n take a dense eigensolve.
+    from LANCZOS_SEED, so the result is reproducible.  Both operators apply
+    op's LU, which the lift shares.  Up to SQUARED_ABOVE_N pairs ARPACK runs
+    in shift-invert mode on A^-1, one solve per Lanczos step.  Above it,
+    ARPACK runs on A^-2, two solves per step, and lam is the Rayleigh
+    quotient v^T A v: it takes fewer steps, so fewer reorthogonalizations
+    against up to 2n + 1 Lanczos vectors, whose cost grows with n, while
+    the extra solve's cost does not.
+    ARPACK needs n < dim - 1, so larger n take a dense eigensolve.
     """
     A = op.matrix
     dim = A.shape[0]
@@ -69,16 +94,23 @@ def smallest_eigenpairs(op: DiffusionOperator, n: int) -> tuple[np.ndarray, np.n
     if n >= dim - 1:
         vals, vecs = sla.eigh(A.toarray(), subset_by_index=[0, n - 1])
     else:
-        # passing OPinv keeps eigsh from factoring A a second time
-        op_inv = spla.LinearOperator(A.shape, matvec=op.factor().solve, dtype=A.dtype)
+        lu = op.factor()
         v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
-        # tol=0 is machine precision.  tol=1e-10 took 253 instead of 304
-        # OPinv applications for N = 100 on the 161x81 salt model, but on the
-        # 25x13 Laplacian it dropped one copy of a double eigenvalue (one of
-        # the 12 smallest came out 4.2% wrong) and the residual check below
+        # tol=0 is machine precision, relative to each Ritz value of the
+        # operator ARPACK runs on.  On A^-1, tol=1e-10 took 253 instead of
+        # 304 solves for N = 100 on the 161x81 salt model, but on the 25x13
+        # Laplacian it dropped one copy of a double eigenvalue (one of the
+        # 12 smallest came out 4.2% wrong) and the residual check below
         # still passed: a loose tolerance loses pairs silently.
         try:
-            vals, vecs = spla.eigsh(A, k=n, sigma=0.0, OPinv=op_inv, v0=v0, tol=0)
+            if n <= SQUARED_ABOVE_N:
+                # passing OPinv keeps eigsh from factoring A a second time
+                op_inv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
+                vals, vecs = spla.eigsh(A, k=n, sigma=0.0, OPinv=op_inv, v0=v0, tol=0)
+            else:
+                op_inv2 = spla.LinearOperator(A.shape, matvec=lambda x: lu.solve(lu.solve(x)), dtype=A.dtype)
+                vecs = spla.eigsh(op_inv2, k=n, which="LA", v0=v0, tol=0)[1]
+                vals = np.einsum("ij,ij->j", vecs, A @ vecs)
         except spla.ArpackError as exc:
             raise EigenSolveError(f"ARPACK failed for {n} pairs: {exc}") from exc
         order = np.argsort(vals)
@@ -243,9 +275,10 @@ def load_basis(directory: str | os.PathLike) -> EigenBasis:
 
     A missing or malformed manifest line, a manifest grid that disagrees
     with m0.ewf, an eigenvectors.f64 payload whose size is not
-    n_nodes * n * 8 bytes for the manifest's grid and n, or a payload whose
-    columns are not orthonormal to ORTHO_TOL or not zero on every boundary
-    node raises FieldFileError.
+    n_nodes * n * 8 bytes for the manifest's grid and n, eigenvalues that
+    are not finite, positive and ascending, as those of an SPD operator
+    are, or a payload whose columns are not orthonormal to ORTHO_TOL or not
+    zero on every boundary node raises FieldFileError.
     """
     root = Path(directory)
     manifest = fileio.read_manifest(root, MANIFEST_KEYS, ("eigenvalues",))
@@ -264,6 +297,8 @@ def load_basis(directory: str | os.PathLike) -> EigenBasis:
     if m0.grid != grid:
         raise fileio.FieldFileError(f"{where}: grid {grid} disagrees with m0.ewf {m0.grid}")
     vecs = fileio.read_payload(root / PAYLOAD_NAME, "<f8", (grid.n_nodes, n))
+    if not (np.all(np.isfinite(eigenvalues) & (eigenvalues > 0.0)) and np.all(np.diff(eigenvalues) >= 0.0)):
+        raise fileio.FieldFileError(f"{where}: malformed value: eigenvalues not finite, positive and ascending")
     gram = _gram_defect(vecs)
     if not gram <= ORTHO_TOL:
         raise fileio.FieldFileError(

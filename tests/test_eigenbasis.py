@@ -43,6 +43,14 @@ def laplacian_spectrum(grid):
     return np.sort(lam.ravel())
 
 
+def centred_salt(g):
+    """Linear 1500 -> 3500 m/s background and one 4500 m/s dome, placed as
+    in the benchmark's 161x81 salt model."""
+    x, z = g.extent_x, g.extent_z
+    dome = Dome(0.5 * x, 0.55 * z, 0.2 * x, 0.25 * z, 4500.0)
+    return make_salt_model(SaltModelSpec(1500.0, 3500.0, (dome,)), g).field
+
+
 class TestSmallestEigenpairs:
     def test_closed_form_laplacian_spectrum(self):
         g = Grid2D(nx=25, nz=13, hx=5.0, hz=5.0)
@@ -89,22 +97,32 @@ class TestSmallestEigenpairs:
         np.testing.assert_allclose(vals, exact, rtol=1e-10)
 
     def test_degenerate_pairs_resolved(self):
-        # square grid with hx=hz has exact two-fold degeneracies
+        # square grid with hx=hz has exact two-fold degeneracies; N = 100
+        # runs ARPACK on A^-2, where a lost copy of a double eigenvalue
+        # would show as a wrong lambda
         g = Grid2D(nx=17, nz=17, hx=1.0, hz=1.0)
         op = assemble_diffusion(field(g, np.ones(g.n_nodes)))
-        vals, vecs = smallest_eigenpairs(op, 10)
-        exact = laplacian_spectrum(g)[:10]
-        assert np.any(np.isclose(np.diff(exact), 0.0, atol=1e-14))  # has multiplicity
-        np.testing.assert_allclose(vals, exact, rtol=1e-10)
+        assert 10 <= eigenbasis.SQUARED_ABOVE_N < 100
+        for n in (10, 100):
+            vals, vecs = smallest_eigenpairs(op, n)
+            exact = laplacian_spectrum(g)[:n]
+            assert np.any(np.isclose(np.diff(exact), 0.0, atol=1e-14))  # has multiplicity
+            np.testing.assert_allclose(vals, exact, rtol=1e-10)
 
-    @pytest.mark.parametrize("below_dim", [2, 1, 0])
-    def test_sizes_around_dense_switch(self, below_dim):
+    @pytest.mark.parametrize(
+        "nx, nz, below_dim, squared",
+        [pytest.param(7, 6, b, False, id=str(b)) for b in (2, 1, 0)]
+        # interior dim 80, just above SQUARED_ABOVE_N: eigsh clips ncv to dim
+        + [pytest.param(12, 10, 2, True, id="A^-2")],
+    )
+    def test_sizes_around_dense_switch(self, nx, nz, below_dim, squared):
         # ARPACK takes n < dim - 1; n = dim - 1 and n = dim go dense
         rng = np.random.default_rng(12)
-        g = Grid2D(nx=7, nz=6, hx=1.0, hz=1.0)
+        g = Grid2D(nx=nx, nz=nz, hx=1.0, hz=1.0)
         op = assemble_diffusion(field(g, rng.random(g.n_nodes) + 0.1))
         dim = op.matrix.shape[0]
         n = dim - below_dim
+        assert (n > eigenbasis.SQUARED_ABOVE_N) == squared
         vals, vecs = smallest_eigenpairs(op, n)
         assert vecs.shape == (dim, n)
         np.testing.assert_allclose(vals, np.linalg.eigvalsh(op.matrix.toarray())[:n], rtol=1e-10)
@@ -164,11 +182,35 @@ class TestSmallestEigenpairs:
         op = assemble_diffusion(eval_eta(spec, gradient_norms(m)))
         dense = np.linalg.eigvalsh(op.matrix.toarray())
         assert dense[-1] / dense[0] > 1e10
-        try:
-            vals, _ = smallest_eigenpairs(op, 30)
-        except EigenSolveError:
-            return
-        np.testing.assert_allclose(vals, dense[:30], rtol=1e-5)
+        assert 30 <= eigenbasis.SQUARED_ABOVE_N < 100
+        for n in (30, 100):  # A^-2 squares the condition number
+            try:
+                vals, _ = smallest_eigenpairs(op, n)
+            except EigenSolveError:
+                continue
+            np.testing.assert_allclose(vals, dense[:n], rtol=1e-5)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [DiffusionSpec("eta4", 1e-2), DiffusionSpec("eta4", 1e-1),
+         DiffusionSpec("eta1", 1e-2), DiffusionSpec("eta8")],
+        ids=["eta4/0.01", "eta4/0.1", "eta1/0.01", "eta8"],
+    )
+    def test_squared_operator_meets_lambda_relative_residual(self, spec, monkeypatch):
+        # the basis_sweep benchmark builds these four bases at N = 100 and
+        # checks ||A v - lam v|| <= 1e-8 lam, which is stricter than
+        # EIG_RTOL * ||A||_1; A^-2 must meet it and agree with A^-1
+        g = Grid2D(nx=41, nz=21, hx=50.0, hz=50.0)
+        op = assemble_diffusion(eval_eta(spec, gradient_norms(centred_salt(g))))
+        n = 100
+        assert n > eigenbasis.SQUARED_ABOVE_N
+        vals, vecs = smallest_eigenpairs(op, n)
+        resid = np.linalg.norm(op.matrix @ vecs - vecs * vals, axis=0)
+        assert np.all(resid <= 1e-8 * vals)
+        monkeypatch.setattr(eigenbasis, "SQUARED_ABOVE_N", n)
+        ref_vals, ref_vecs = smallest_eigenpairs(op, n)
+        np.testing.assert_allclose(vals, ref_vals, rtol=1e-10)
+        assert np.linalg.norm(ref_vecs - vecs @ (vecs.T @ ref_vecs), 2) <= 1e-8  # same span
 
     def test_backward_error_accepts_cond_2e8(self):
         # eta3 beta=1e-4 (cond 2.2e8): ||Av - lam v|| reaches ~1.4e-8 lam at
@@ -352,6 +394,25 @@ class TestBasis:
             np.testing.assert_allclose(dots, 1.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("n", [20, 100])  # one on each side of SQUARED_ABOVE_N
+@pytest.mark.parametrize("beta", [0.1, 10.0])
+@pytest.mark.parametrize(
+    "kind, same_as, same_beta, scale",
+    [("eta7", "eta2", lambda b: b, lambda b: 1.0 / b), ("eta6", "eta3", lambda b: 1.0 / b, lambda b: 0.5)],
+    ids=["eta7=eta2/beta", "eta6=eta3(1/beta)/2"],
+)
+def test_kinds_equal_up_to_a_constant_give_one_basis(kind, same_as, same_beta, scale, beta, n):
+    # eta7(b) = eta2(b)/b and eta6(b) = eta3(1/b)/2: a constant factor in
+    # eta scales the eigenvalues and leaves the lift and eigenvectors
+    assert 20 <= eigenbasis.SQUARED_ABOVE_N < 100
+    m = centred_salt(Grid2D(nx=41, nz=21, hx=50.0, hz=50.0))
+    basis = build_basis(m, DiffusionSpec(kind, beta), n)
+    other = build_basis(m, DiffusionSpec(same_as, same_beta(beta)), n)
+    np.testing.assert_allclose(basis.eigenvalues, scale(beta) * other.eigenvalues, rtol=1e-10)
+    np.testing.assert_allclose(basis.eigenvectors, other.eigenvectors, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(basis.m0.values, other.m0.values, rtol=1e-12)
+
+
 class TestArchive:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -496,12 +557,15 @@ class TestLoadBasisChecks:
     @pytest.mark.parametrize(
         "line, replacement",
         [("  ", "  not-a-number"), ("beta", "beta = fast"), ("n =", "n = four"),
-         ("grid", "grid = 21 11 10.0 10.0 0.0"), ("kind", "kind = eta99")],
+         ("grid", "grid = 21 11 10.0 10.0 0.0"), ("kind", "kind = eta99"),
+         # eigenvalues of an SPD operator: finite, positive, ascending
+         ("  ", "  nan"), ("  ", "  -inf"), ("  ", "  -3.0"), ("  ", None)],
     )
     def test_malformed_value(self, archive, tmp_path, line, replacement):
-        def edit(lines):
+        def edit(lines):  # replacement None swaps the line with the next
             first = next(i for i, l in enumerate(lines) if l.startswith(line))
-            return lines[:first] + [replacement] + lines[first + 1:]
+            new = [replacement] if replacement is not None else [lines[first + 1], lines[first]]
+            return lines[:first] + new + lines[first + len(new):]
 
         with pytest.raises(FieldFileError, match="malformed"):
             load_basis(edited_copy(archive, tmp_path / "b", edit))
