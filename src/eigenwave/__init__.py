@@ -3,7 +3,6 @@
 from .dataset import FrequencyDataset, load_dataset, save_dataset
 from .diffusion import (
     DiffusionSpec,
-    GradientNorms,
     assemble_diffusion,
     eval_eta,
     gradient_norms,

@@ -63,37 +63,23 @@ class DiffusionSpec:
             raise DiffusionError(f"{self.kind} needs beta > 0, got {self.beta}")
 
 
-@dataclass(frozen=True)
-class GradientNorms:
-    """Gradient magnitude of a field, normalized by its grid maximum.
-
-    ngrad1 = |grad m| / gamma1 with gamma1 = max |grad m|.  A constant
-    field has gamma1 = 0, and ngrad1 is then identically zero.
-    """
-
-    ngrad1: ScalarField
-    gamma1: float
-
-
-def gradient_norms(m: ScalarField) -> GradientNorms:
-    """Normalized |grad m|, central differences inside, one-sided on the
-    boundary."""
+def gradient_norms(m: ScalarField) -> ScalarField:
+    """|grad m| normalized by its grid maximum, central differences inside,
+    one-sided on the boundary.  A constant field gives zero everywhere."""
     g = m.grid
     arr = m.as_2d()
     dz, dx = np.gradient(arr, g.hz, g.hx)
     mag = np.hypot(dx, dz).reshape(-1)
-    gamma1 = float(mag.max())
-    if gamma1 == 0.0:
-        return GradientNorms(ScalarField(g, np.zeros(g.n_nodes)), 0.0)
-    return GradientNorms(ngrad1=ScalarField(g, mag / gamma1), gamma1=gamma1)
+    top = mag.max()
+    return ScalarField(g, np.zeros(g.n_nodes) if top == 0.0 else mag / top)
 
 
-def eval_eta(spec: DiffusionSpec, norms: GradientNorms) -> ScalarField:
+def eval_eta(spec: DiffusionSpec, v: ScalarField) -> ScalarField:
     """Pointwise coefficient field, positive and finite for every kind; a
     beta at which a formula overflows raises DiffusionError.
 
-    With v the normalized |grad m| and b = beta, each kind is one formula
-    that holds at v = 0 too (value there in brackets):
+    With v the normalized |grad m| of gradient_norms and b = beta, each
+    kind is one formula that holds at v = 0 too (value there in brackets):
 
         eta1  b / (b + v^2)               [1]
         eta2  exp(-v^2 / b)               [1]
@@ -112,8 +98,8 @@ def eval_eta(spec: DiffusionSpec, norms: GradientNorms) -> ScalarField:
     not flat, and below 1e-3 the worst eigenpair residual/lambda grows
     (7.8e-12 at 1e-3, 5.9e-9 at 1e-6) with no gain in compression.
     """
-    grid = norms.ngrad1.grid
-    v1 = norms.ngrad1.values
+    grid = v.grid
+    v1 = v.values
     v2 = v1 * v1  # the normalized |grad m|^2
     b = spec.beta
     kind = spec.kind

@@ -4,14 +4,11 @@ A field m is represented as a boundary lift m0 plus a combination of the
 orthonormal eigenvectors Psi belonging to the N smallest eigenvalues of
 -div(eta grad) with homogeneous Dirichlet conditions; the coefficients are
 Psi^T (m - m0).  build_basis factorizes the SPD matrix A once; that LU gives
-the boundary lift, and ARPACK's implicitly restarted Lanczos applies it at
-every step.  The smallest eigenvalues of A are the largest of A^-1 and of
-A^-2.  Up to SQUARED_ABOVE_N pairs ARPACK runs on A^-1 (scipy's eigsh with
-sigma = 0), one solve per step; above it, on A^-2, two solves per step.
-Squaring widens the relative gaps of the wanted eigenvalues, so A^-2 takes
-fewer steps, and that pays once a step's reorthogonalization against up to
-2N + 1 Lanczos vectors, which grows with N, outweighs the extra solve, whose
-cost does not.  Every returned pair is checked against the residual and
+the boundary lift, and ARPACK's implicitly restarted Lanczos applies it
+twice at every step.  The smallest eigenvalues of A are the largest of
+A^-2, whose squared spectrum widens the relative gaps of the wanted
+eigenvalues, so ARPACK takes fewer steps than it would on A^-1.  Every
+returned pair is checked against the positivity, residual and
 orthonormality contracts after ARPACK returns.
 Reference: Lehoucq, Sorensen & Yang, ARPACK Users' Guide (SIAM 1998), ch. 4.
 """
@@ -44,46 +41,29 @@ ORTHO_TOL = 1e-8
 SIGN_TIE_RTOL = 1e-8
 # fixed internal seed: eigenvector bases must be reproducible run to run
 LANCZOS_SEED = 20260810
-# ARPACK runs on A^-2 above this many pairs, and on A^-1 up to it.  Median
-# seconds of the eigensolves for the four basis_sweep specs on the 161x81
-# salt model, A^-1 -> A^-2, over interleaved rounds (5 at 2 BLAS threads, 3
-# at 1; the LU factored beforehand):
-#   N     2 threads              1 thread
-#   20    0.52 -> 0.63 (+21%)    0.55 -> 0.70 (+27%)
-#   50    1.33 -> 1.30  (-2%)    2.00 -> 1.81  (-9%)
-#   60    1.51 -> 1.87 (+24%)    2.82 -> 2.42 (-14%)
-#   75    2.11 -> 2.13  (+1%)    3.20 -> 3.20   (0%)
-#   100   2.96 -> 2.32 (-22%)    5.19 -> 3.84 (-26%)
-#   150   4.95 -> 4.46 (-10%)    8.63 -> 6.94 (-20%)
-#   200   9.37 -> 8.80  (-6%)    16.0 -> 12.3 (-23%)
-# Above N = 75, A^-2 wins at both thread counts; at 75 and below, it loses
-# or ties at 2 threads.
-SQUARED_ABOVE_N = 75
 
 
 class EigenSolveError(RuntimeError):
-    """The eigensolve failed: ARPACK did not converge, or a returned pair
-    broke the residual or orthonormality contract."""
+    """The eigensolve failed: ARPACK did not converge or its operator
+    overflowed, or a returned pair broke the positivity, residual or
+    orthonormality contract."""
 
 
 def smallest_eigenpairs(op: DiffusionOperator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """N smallest eigenpairs of op.matrix A (SPD) by ARPACK on A^-1 or A^-2.
+    """N smallest eigenpairs of op.matrix A (SPD) by ARPACK on A^-2.
 
-    Returns eigenvalues ascending and an orthonormal (dim, n) eigenvector
-    block, each pair satisfying ||A v - lam v|| <= EIG_RTOL * ||A||_1.  That
-    is a backward error, attainable however ill-conditioned A is; a bound
-    relative to lam sits at the rounding floor once cond(A) nears 1/EIG_RTOL.
+    Returns eigenvalues finite, positive and ascending, as load_basis
+    requires, and an orthonormal (dim, n) eigenvector block, each pair
+    satisfying ||A v - lam v|| <= EIG_RTOL * ||A||_1.  That is a backward
+    error, attainable however ill-conditioned A is; a bound relative to lam
+    sits at the rounding floor once cond(A) nears 1/EIG_RTOL.
     Each vector's sign makes positive the first entry whose magnitude is
     within SIGN_TIE_RTOL of its largest: on a mirror-symmetric model the two
     largest entries of an antisymmetric vector tie, and picking the single
     largest would leave the sign to rounding.  The start vector is drawn
-    from LANCZOS_SEED, so the result is reproducible.  Both operators apply
-    op's LU, which the lift shares.  Up to SQUARED_ABOVE_N pairs ARPACK runs
-    in shift-invert mode on A^-1, one solve per Lanczos step.  Above it,
-    ARPACK runs on A^-2, two solves per step, and lam is the Rayleigh
-    quotient v^T A v: it takes fewer steps, so fewer reorthogonalizations
-    against up to 2n + 1 Lanczos vectors, whose cost grows with n, while
-    the extra solve's cost does not.
+    from LANCZOS_SEED, so the result is reproducible.  ARPACK runs in
+    regular mode on A^-2, two solves with op's LU (which the lift shares)
+    per Lanczos step, and lam is the Rayleigh quotient v^T A v.
     ARPACK needs n < dim - 1, so larger n take a dense eigensolve.
     """
     A = op.matrix
@@ -95,27 +75,33 @@ def smallest_eigenpairs(op: DiffusionOperator, n: int) -> tuple[np.ndarray, np.n
         vals, vecs = sla.eigh(A.toarray(), subset_by_index=[0, n - 1])
     else:
         lu = op.factor()
+
+        def apply_inv2(x):
+            y = lu.solve(lu.solve(x))
+            # left to ARPACK, an overflow makes LAPACK print to stdout and
+            # ARPACK stop with error -9999
+            if not np.all(np.isfinite(y)):
+                raise EigenSolveError(f"A^-2 overflowed for {n} pairs: the smallest eigenvalue is near 0")
+            return y
+
         v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
-        # tol=0 is machine precision, relative to each Ritz value of the
-        # operator ARPACK runs on.  On A^-1, tol=1e-10 took 253 instead of
-        # 304 solves for N = 100 on the 161x81 salt model, but on the 25x13
-        # Laplacian it dropped one copy of a double eigenvalue (one of the
-        # 12 smallest came out 4.2% wrong) and the residual check below
+        # tol=0 is machine precision, relative to each Ritz value of A^-2.
+        # For N = 12 on the 25x13 Laplacian, tol=1e-10 took 33 instead of
+        # 63 steps but dropped one copy of a double eigenvalue (one of the
+        # 12 smallest came out 4.2% wrong), and the residual check below
         # still passed: a loose tolerance loses pairs silently.
         try:
-            if n <= SQUARED_ABOVE_N:
-                # passing OPinv keeps eigsh from factoring A a second time
-                op_inv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
-                vals, vecs = spla.eigsh(A, k=n, sigma=0.0, OPinv=op_inv, v0=v0, tol=0)
-            else:
-                op_inv2 = spla.LinearOperator(A.shape, matvec=lambda x: lu.solve(lu.solve(x)), dtype=A.dtype)
-                vecs = spla.eigsh(op_inv2, k=n, which="LA", v0=v0, tol=0)[1]
-                vals = np.einsum("ij,ij->j", vecs, A @ vecs)
+            vecs = spla.eigsh(spla.LinearOperator(A.shape, matvec=apply_inv2, dtype=A.dtype),
+                              k=n, which="LA", v0=v0, tol=0)[1]
         except spla.ArpackError as exc:
             raise EigenSolveError(f"ARPACK failed for {n} pairs: {exc}") from exc
+        vals = np.einsum("ij,ij->j", vecs, A @ vecs)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
 
+    bad = np.flatnonzero(~((vals > 0.0) & (vals < np.inf)))  # a NaN fails both
+    if bad.size:  # load_basis would reject the archive
+        raise EigenSolveError(f"eigenvalue {bad[0]} of {n} is {vals[bad[0]]:.6e}, not finite and positive")
     for j in range(n):
         mag = np.abs(vecs[:, j])
         if vecs[np.argmax(mag >= (1.0 - SIGN_TIE_RTOL) * mag.max()), j] < 0.0:
@@ -198,8 +184,7 @@ class DecomposedModel:
 
 def build_basis(m: ScalarField, spec: DiffusionSpec, n: int) -> EigenBasis:
     """Full pipeline: coefficient field, operator, boundary lift, eigenpairs."""
-    norms = gradient_norms(m)
-    eta = eval_eta(spec, norms)
+    eta = eval_eta(spec, gradient_norms(m))
     op = assemble_diffusion(eta)
     if not 1 <= n <= op.matrix.shape[0]:  # before np.zeros: a huge n raises MemoryError there
         raise GridError(f"need 1 <= n <= {op.matrix.shape[0]}, got n={n}")

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 import eigenwave
-from eigenwave import cli, inversion
+from eigenwave import cli, eigenbasis, inversion
 from eigenwave.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from eigenwave.dataset import TRACES_NAME, load_dataset
 from eigenwave.diffusion import DiffusionOperator, DiffusionSpec
 from eigenwave.eigenbasis import build_basis, load_basis, project, reconstruct
 from eigenwave.fileio import MANIFEST_NAME, read_field, write_field
-from eigenwave.grid import Grid2D, ScalarField
+from eigenwave.grid import Grid2D, ScalarField, SolveError
 from eigenwave.inversion import InversionHistory
 from eigenwave.synthetics import make_layered_model
 
@@ -313,30 +313,41 @@ def test_decompose_drops_beta_with_singular_diffusion_lu(synth_dir):
 
 
 def test_decompose_drops_beta_whose_lift_misses(synth_dir, monkeypatch):
-    # the first build's LU is off by 1e-3 in every solve, so the lift misses
-    # its residual contract even after refinement
-    real_factor = DiffusionOperator.factor
-    factored = []
+    # the first build's LU returns 1.5 times the solution, so after its one
+    # refinement round the lift holds 0.75 of it and misses by ||b|| / 4:
+    # 9.5e-9 against the contract's 1e-10, since ||b|| = 3.8e-8 at beta 0.01.
+    # A factor of 1 + 1e-3 would leave 1e-6 ||b||, which the lift passes
+    real_factor, real_lift = DiffusionOperator.factor, eigenbasis.lift_from_operator
+    factored, lift_errors = [], []
 
     class OffLU:
         def __init__(self, lu):
             self.lu = lu
 
         def solve(self, b, trans="N"):
-            return self.lu.solve(b, trans=trans) * (1.0 + 1e-3)
+            return self.lu.solve(b, trans=trans) * 1.5
 
     def factor(self):
         factored.append(self)
         lu = real_factor(self)
         return OffLU(lu) if factored[0] is self else lu
 
+    def lift(op, m):
+        try:
+            return real_lift(op, m)
+        except SolveError as exc:
+            lift_errors.append(exc)
+            raise
+
     monkeypatch.setattr(DiffusionOperator, "factor", factor)
+    monkeypatch.setattr(eigenbasis, "lift_from_operator", lift)
     assert main(["decompose", "--config", basis_config(synth_dir, "dec_lift_miss")]) == EXIT_OK
     report = (synth_dir / "dec_lift_miss" / "decomposition_report.csv").read_text().splitlines()
     rows = [line.split(",") for line in report[1:4]]
     assert [float(r[0]) for r in rows] == [0.01, 0.1, 1.0]
     assert rows[0][1:] == ["failed", "failed"]
     assert all("failed" not in r for r in rows[1:])
+    assert len(lift_errors) == 1 and "residual contract missed" in str(lift_errors[0])
 
 
 def test_decompose_with_every_beta_failed_writes_nothing(synth_dir, capsys):

@@ -7,7 +7,6 @@ from eigenwave.diffusion import (
     DiffusionError,
     DiffusionSpec,
     ETA_KINDS,
-    GradientNorms,
     assemble_diffusion,
     eval_eta,
     gradient_norms,
@@ -46,52 +45,46 @@ def brute_force_gradient(f):
 class TestGradientNorms:
     def test_constant_field_flag(self):
         g = Grid2D(nx=5, nz=4, hx=1.0, hz=1.0)
-        norms = gradient_norms(field(g, np.full(20, 3.0)))
-        assert norms.gamma1 == 0.0
-        assert np.all(norms.ngrad1.values == 0.0)
+        v = gradient_norms(field(g, np.full(20, 3.0)))
+        assert v.grid == g
+        assert np.all(v.values == 0.0)
 
     def test_linear_in_x_normalizes_to_one(self):
         g = Grid2D(nx=6, nz=5, hx=2.0, hz=3.0)
         xg, _ = np.meshgrid(g.xs(), g.zs())
-        norms = gradient_norms(field(g, 0.7 * xg))
-        assert norms.gamma1 == pytest.approx(0.7, rel=1e-13)
-        np.testing.assert_allclose(norms.ngrad1.values, 1.0, rtol=1e-13)
+        v = gradient_norms(field(g, 0.7 * xg))
+        np.testing.assert_allclose(v.values, 1.0, rtol=1e-13)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(17)
         g = Grid2D(nx=8, nz=8, hx=1.5, hz=0.5)
         f = field(g, rng.standard_normal(64))
-        norms = gradient_norms(f)
+        v = gradient_norms(f)
         mag = brute_force_gradient(f)
-        np.testing.assert_allclose(norms.ngrad1.values, mag / mag.max(), rtol=1e-12)
+        np.testing.assert_allclose(v.values, mag / mag.max(), rtol=1e-12)
         # the normalized magnitude peaks at exactly 1 at the argmax
         i = int(np.argmax(mag))
-        assert norms.ngrad1.values[i] == pytest.approx(1.0)
-        assert norms.ngrad1.values.max() == pytest.approx(1.0)
+        assert v.values[i] == pytest.approx(1.0)
+        assert v.values.max() == pytest.approx(1.0)
 
     def test_bounds(self):
         rng = np.random.default_rng(18)
         g = Grid2D(nx=7, nz=7, hx=1.0, hz=1.0)
-        norms = gradient_norms(field(g, rng.standard_normal(49)))
-        arr = norms.ngrad1.values
+        arr = gradient_norms(field(g, rng.standard_normal(49))).values
         assert np.all(arr >= 0.0) and np.all(arr <= 1.0)
-
-
-def make_norms(grid, v1):
-    return GradientNorms(ngrad1=ScalarField(grid, np.asarray(v1, dtype=float)), gamma1=1.0)
 
 
 class TestEvalEta:
     def test_eta9_is_one(self):
         g = Grid2D(nx=4, nz=3, hx=1.0, hz=1.0)
         rng = np.random.default_rng(0)
-        norms = make_norms(g, rng.random(12))
+        norms = field(g, rng.random(12))
         out = eval_eta(DiffusionSpec("eta9"), norms)
         assert np.all(out.values == 1.0)
 
     def test_eta1_limits(self):
         g = Grid2D(nx=4, nz=3, hx=1.0, hz=1.0)
-        norms = make_norms(g, np.full(12, 0.5))  # nonzero gradient everywhere
+        norms = field(g, np.full(12, 0.5))  # nonzero gradient everywhere
         hi = eval_eta(DiffusionSpec("eta1", 1e12), norms).values
         lo = eval_eta(DiffusionSpec("eta1", 1e-12), norms).values
         np.testing.assert_allclose(hi, 1.0, rtol=1e-10)
@@ -101,7 +94,7 @@ class TestEvalEta:
         g = Grid2D(nx=4, nz=3, hx=1.0, hz=1.0)
         beta = 0.37
         v1 = np.full(12, np.sqrt(beta))  # ngrad1 squared == beta
-        out = eval_eta(DiffusionSpec("eta3", beta), make_norms(g, v1))
+        out = eval_eta(DiffusionSpec("eta3", beta), field(g, v1))
         np.testing.assert_allclose(out.values, 1.0 / (2.0 * beta), rtol=1e-13)
 
     @given(
@@ -117,11 +110,11 @@ class TestEvalEta:
         g = Grid2D(nx=4, nz=4, hx=1.0, hz=1.0)
         spec = DiffusionSpec(kind, beta)
         v1 = np.sort([0.0, *v])  # the smallest value is exactly zero
-        out = eval_eta(spec, make_norms(g, v1)).values
+        out = eval_eta(spec, field(g, v1)).values
         assert np.all(np.isfinite(out)) and np.all(out > 0.0)
         # rounding may leave a value a few ulps above that of a smaller v
         assert np.all(out[1:] <= out[:-1] * (1.0 + 1e-14))
-        near_zero = eval_eta(spec, make_norms(g, np.full(16, 1e-12))).values
+        near_zero = eval_eta(spec, field(g, np.full(16, 1e-12))).values
         assert out[0] == pytest.approx(near_zero[0], rel=1e-9)
 
     @pytest.mark.parametrize("kind, beta", [("eta4", 1e-160), ("eta5", 1e-320)])
@@ -132,11 +125,11 @@ class TestEvalEta:
         v1 = np.full(12, 0.5)
         v1[3] = 0.0
         with pytest.raises(DiffusionError, match=f"{kind} is not positive and finite"):
-            eval_eta(DiffusionSpec(kind, beta), make_norms(g, v1))
+            eval_eta(DiffusionSpec(kind, beta), field(g, v1))
 
     def test_eta8_is_inverse_gradient(self):
         g = Grid2D(nx=4, nz=3, hx=1.0, hz=1.0)
-        out = eval_eta(DiffusionSpec("eta8"), make_norms(g, np.full(12, 0.25)))
+        out = eval_eta(DiffusionSpec("eta8"), field(g, np.full(12, 0.25)))
         np.testing.assert_allclose(out.values, 4.0)
 
     def test_constant_model_gives_positive_eta_for_all_kinds(self):
@@ -162,7 +155,7 @@ class TestEvalEta:
     def test_two_sided_decay_kinds(self):
         # eta3, eta6, eta7 vanish in both scaling limits
         g = Grid2D(nx=4, nz=3, hx=1.0, hz=1.0)
-        norms = make_norms(g, np.full(12, 0.5))
+        norms = field(g, np.full(12, 0.5))
         for kind in ("eta3", "eta6", "eta7"):
             lo = eval_eta(DiffusionSpec(kind, 1e-10), norms).values
             hi = eval_eta(DiffusionSpec(kind, 1e10), norms).values

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -97,12 +98,10 @@ class TestSmallestEigenpairs:
         np.testing.assert_allclose(vals, exact, rtol=1e-10)
 
     def test_degenerate_pairs_resolved(self):
-        # square grid with hx=hz has exact two-fold degeneracies; N = 100
-        # runs ARPACK on A^-2, where a lost copy of a double eigenvalue
-        # would show as a wrong lambda
+        # square grid with hx=hz has exact two-fold degeneracies; a lost
+        # copy of a double eigenvalue would show as a wrong lambda
         g = Grid2D(nx=17, nz=17, hx=1.0, hz=1.0)
         op = assemble_diffusion(field(g, np.ones(g.n_nodes)))
-        assert 10 <= eigenbasis.SQUARED_ABOVE_N < 100
         for n in (10, 100):
             vals, vecs = smallest_eigenpairs(op, n)
             exact = laplacian_spectrum(g)[:n]
@@ -110,19 +109,18 @@ class TestSmallestEigenpairs:
             np.testing.assert_allclose(vals, exact, rtol=1e-10)
 
     @pytest.mark.parametrize(
-        "nx, nz, below_dim, squared",
-        [pytest.param(7, 6, b, False, id=str(b)) for b in (2, 1, 0)]
-        # interior dim 80, just above SQUARED_ABOVE_N: eigsh clips ncv to dim
-        + [pytest.param(12, 10, 2, True, id="A^-2")],
+        "nx, nz, below_dim",
+        [pytest.param(7, 6, b, id=str(b)) for b in (2, 1, 0)]
+        # interior dim 80 and n = 78: eigsh clips its default ncv, 2n + 1, to dim
+        + [pytest.param(12, 10, 2, id="A^-2")],
     )
-    def test_sizes_around_dense_switch(self, nx, nz, below_dim, squared):
+    def test_sizes_around_dense_switch(self, nx, nz, below_dim):
         # ARPACK takes n < dim - 1; n = dim - 1 and n = dim go dense
         rng = np.random.default_rng(12)
         g = Grid2D(nx=nx, nz=nz, hx=1.0, hz=1.0)
         op = assemble_diffusion(field(g, rng.random(g.n_nodes) + 0.1))
         dim = op.matrix.shape[0]
         n = dim - below_dim
-        assert (n > eigenbasis.SQUARED_ABOVE_N) == squared
         vals, vecs = smallest_eigenpairs(op, n)
         assert vecs.shape == (dim, n)
         np.testing.assert_allclose(vals, np.linalg.eigvalsh(op.matrix.toarray())[:n], rtol=1e-10)
@@ -153,6 +151,38 @@ class TestSmallestEigenpairs:
         with pytest.raises(EigenSolveError, match="orthonormality"):
             smallest_eigenpairs(op, 4)
 
+    @pytest.mark.parametrize("n", [4, 20])  # ARPACK and dense paths of a dim-20 operator
+    def test_nonpositive_eigenvalue_rejected(self, n, monkeypatch):
+        # load_basis rejects an eigenvalue that is not finite and positive,
+        # so a build must not return one; a zero first pair gives lambda 0
+        # on either path, as v^T A v on ARPACK's and as eigh's value
+        g = Grid2D(nx=7, nz=6, hx=1.0, hz=1.0)
+        op = assemble_diffusion(field(g, np.linspace(1.0, 2.0, g.n_nodes)))
+
+        def zero_first_pair(solver):
+            def solve(*args, **kwargs):
+                vals, vecs = solver(*args, **kwargs)
+                vals[0], vecs[:, 0] = 0.0, 0.0
+                return vals, vecs
+            return solve
+
+        monkeypatch.setattr(spla, "eigsh", zero_first_pair(spla.eigsh))
+        monkeypatch.setattr(sla, "eigh", zero_first_pair(sla.eigh))
+        with pytest.raises(EigenSolveError, match=f"eigenvalue 0 of {n} is 0.000000e\\+00, not finite and positive"):
+            smallest_eigenpairs(op, n)
+
+    @pytest.mark.parametrize("n", [30, 100])
+    @pytest.mark.parametrize("kind", ["eta2", "eta7"])
+    def test_squared_operator_overflow_is_a_clean_error(self, kind, n, capfd):
+        # on the 61x31 salt model at beta = 1e-4, lambda_1 is about 4.5e-243,
+        # so A^-2 overflows.  Left to ARPACK, LAPACK printed "On entry to
+        # DLASCL parameter number 4 had an illegal value" to fd 1, where
+        # decompose prints its report, and ARPACK failed with error -9999
+        m = centred_salt(Grid2D(nx=61, nz=31, hx=33.3, hz=33.3))
+        with pytest.raises(EigenSolveError, match=f"A\\^-2 overflowed for {n} pairs"):
+            build_basis(m, DiffusionSpec(kind, 1e-4), n)
+        assert capfd.readouterr() == ("", "")
+
     @pytest.mark.parametrize(
         "error",
         [spla.ArpackError(-9999), spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))],
@@ -182,7 +212,6 @@ class TestSmallestEigenpairs:
         op = assemble_diffusion(eval_eta(spec, gradient_norms(m)))
         dense = np.linalg.eigvalsh(op.matrix.toarray())
         assert dense[-1] / dense[0] > 1e10
-        assert 30 <= eigenbasis.SQUARED_ABOVE_N < 100
         for n in (30, 100):  # A^-2 squares the condition number
             try:
                 vals, _ = smallest_eigenpairs(op, n)
@@ -196,19 +225,17 @@ class TestSmallestEigenpairs:
          DiffusionSpec("eta1", 1e-2), DiffusionSpec("eta8")],
         ids=["eta4/0.01", "eta4/0.1", "eta1/0.01", "eta8"],
     )
-    def test_squared_operator_meets_lambda_relative_residual(self, spec, monkeypatch):
+    def test_squared_operator_meets_lambda_relative_residual(self, spec):
         # the basis_sweep benchmark builds these four bases at N = 100 and
         # checks ||A v - lam v|| <= 1e-8 lam, which is stricter than
-        # EIG_RTOL * ||A||_1; A^-2 must meet it and agree with A^-1
+        # EIG_RTOL * ||A||_1; A^-2 must meet it and agree with dense eigh
         g = Grid2D(nx=41, nz=21, hx=50.0, hz=50.0)
         op = assemble_diffusion(eval_eta(spec, gradient_norms(centred_salt(g))))
         n = 100
-        assert n > eigenbasis.SQUARED_ABOVE_N
         vals, vecs = smallest_eigenpairs(op, n)
         resid = np.linalg.norm(op.matrix @ vecs - vecs * vals, axis=0)
         assert np.all(resid <= 1e-8 * vals)
-        monkeypatch.setattr(eigenbasis, "SQUARED_ABOVE_N", n)
-        ref_vals, ref_vecs = smallest_eigenpairs(op, n)
+        ref_vals, ref_vecs = sla.eigh(op.matrix.toarray(), subset_by_index=[0, n - 1])
         np.testing.assert_allclose(vals, ref_vals, rtol=1e-10)
         assert np.linalg.norm(ref_vecs - vecs @ (vecs.T @ ref_vecs), 2) <= 1e-8  # same span
 
@@ -394,7 +421,7 @@ class TestBasis:
             np.testing.assert_allclose(dots, 1.0, atol=1e-6)
 
 
-@pytest.mark.parametrize("n", [20, 100])  # one on each side of SQUARED_ABOVE_N
+@pytest.mark.parametrize("n", [20, 100])
 @pytest.mark.parametrize("beta", [0.1, 10.0])
 @pytest.mark.parametrize(
     "kind, same_as, same_beta, scale",
@@ -404,13 +431,29 @@ class TestBasis:
 def test_kinds_equal_up_to_a_constant_give_one_basis(kind, same_as, same_beta, scale, beta, n):
     # eta7(b) = eta2(b)/b and eta6(b) = eta3(1/b)/2: a constant factor in
     # eta scales the eigenvalues and leaves the lift and eigenvectors
-    assert 20 <= eigenbasis.SQUARED_ABOVE_N < 100
     m = centred_salt(Grid2D(nx=41, nz=21, hx=50.0, hz=50.0))
     basis = build_basis(m, DiffusionSpec(kind, beta), n)
     other = build_basis(m, DiffusionSpec(same_as, same_beta(beta)), n)
     np.testing.assert_allclose(basis.eigenvalues, scale(beta) * other.eigenvalues, rtol=1e-10)
     np.testing.assert_allclose(basis.eigenvectors, other.eigenvectors, rtol=0, atol=1e-10)
     np.testing.assert_allclose(basis.m0.values, other.m0.values, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["eta2", "eta7"])
+def test_built_basis_of_a_near_singular_operator_loads(kind, tmp_path):
+    # on the benchmark's 161x81 salt model at beta = 1e-3, lambda_1 of the
+    # 50-vector basis sits at the rounding floor of ||A|| (about 1e-19 and
+    # 1e-16), where a solver's error can make it negative; load_basis
+    # rejects such an archive, so the build must not return it
+    m = centred_salt(Grid2D(nx=161, nz=81, hx=12.5, hz=12.5))
+    try:
+        basis = build_basis(m, DiffusionSpec(kind, 1e-3), 50)
+    except EigenSolveError:
+        return
+    back = load_basis(save_basis(tmp_path / "basis", basis))
+    assert back.eigenvalues.tobytes() == basis.eigenvalues.tobytes()
+    assert back.eigenvectors.tobytes() == basis.eigenvectors.tobytes()
+    assert back.m0.values.tobytes() == basis.m0.values.tobytes()
 
 
 class TestArchive:
