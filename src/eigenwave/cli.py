@@ -411,10 +411,10 @@ def main(argv=None) -> int:
         prog="eigenwave",
         description="Frequency-domain FWI with diffusion-eigenvector model compression.",
         epilog=(
-            "Helmholtz solves use one lane per CPU in the affinity mask, and a "
-            "threaded BLAS competes with them: set OPENBLAS_NUM_THREADS=1 before "
-            "running.  At 321x161 a 64-column solve took 0.81 s with OpenBLAS on "
-            "2 threads against 0.56 s on 1."
+            "Set OPENBLAS_NUM_THREADS=1 before running.  A threaded BLAS changes "
+            "Helmholtz results in the last bits (by up to 2.9e-12 on 2 threads) "
+            "and slows multi-column solves: at 321x161 a 64-column solve took "
+            "0.78-1.24 s with OpenBLAS on 2 threads against 0.43-0.63 s on 1."
         ),
     )
     parser.add_argument("command", choices=sorted(COMMANDS))

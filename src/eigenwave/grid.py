@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 # column ordering for every sparse LU (Helmholtz and diffusion): minimum
 # degree on A^T + A; see the helmholtz module docstring for the measurements
 PERMC_SPEC = "MMD_AT_PLUS_A"
-# the relative residual bound of checked_solve
+# the backward-error bound of checked_solve
 RESIDUAL_RTOL = 1e-10
 
 
@@ -47,8 +47,14 @@ class SolveError(RuntimeError):
 
 def checked_solve(lu: spla.SuperLU, op: sp.spmatrix, b: np.ndarray, trans: str = "N") -> np.ndarray:
     """Solve op x = b for every column of b with op's LU, under the contract
-    ||op x_j - b_j|| <= RESIDUAL_RTOL * max(1, ||b_j||) for each column j.
+    ||op x_j - b_j|| <= RESIDUAL_RTOL * (||op||_1 ||x_j|| + ||b_j||) for
+    each column j.
 
+    The vector norms are 2-norms and ||op||_1 is op's largest absolute
+    column sum, taken once per call.  The bound is a normwise backward
+    error (Rigal & Gaches, J. ACM 1967), which a backward-stable LU meets
+    however small b is and in whatever units op and b come: scaling both
+    by c scales both sides by c.
     op is the matrix that lu.solve(., trans) inverts (op^H for trans "H").
     A column that misses gets one round of iterative refinement of the
     whole block (Skeel, Math. Comp. 1980); a miss after that, a NaN
@@ -57,24 +63,26 @@ def checked_solve(lu: spla.SuperLU, op: sp.spmatrix, b: np.ndarray, trans: str =
     contiguous, the product copies nothing, and no temporary is larger
     than one column.
     """
-    bound = RESIDUAL_RTOL * np.maximum(1.0, [np.linalg.norm(c) for c in b.T])
+    op_norm = spla.norm(op, 1)
+    b_norm = np.array([np.linalg.norm(c) for c in b.T])
     x = lu.solve(b, trans=trans)
     for refined in (False, True):
-        rnorm = np.empty(x.shape[1])
+        rnorm, bound = np.empty(x.shape[1]), np.empty(x.shape[1])
         for j in range(x.shape[1]):
             r = op @ x[:, j]
             r -= b[:, j]
             rnorm[j] = np.linalg.norm(r)
+            bound[j] = RESIDUAL_RTOL * (op_norm * np.linalg.norm(x[:, j]) + b_norm[j])
         if np.all(rnorm <= bound):  # False for a NaN
             return x
         if not refined:
             r = op @ x
             r -= b
             x -= lu.solve(r, trans=trans)
-    worst = int(np.argmax(rnorm / bound))  # a NaN ranks first
+    miss = int(np.argmax(~(rnorm <= bound)))  # the first column that missed
     raise SolveError(
-        f"residual contract missed: ||Au-f||={rnorm[worst]:.3e} exceeds "
-        f"{bound[worst]:.3e} (likely near-resonant or ill-conditioned operator)"
+        f"residual contract missed: ||Au-f||={rnorm[miss]:.3e} exceeds "
+        f"{bound[miss]:.3e} (likely near-resonant or ill-conditioned operator)"
     )
 
 

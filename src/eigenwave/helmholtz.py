@@ -29,41 +29,28 @@ fill drops from 4.81M to 2.71M; there the cheaper factorization is partly
 offset by slower 64-RHS triangular solves.
 
 solve_array cuts its right-hand sides into slabs of SLAB_COLUMNS columns
-and hands them to the lane runner, as receiver_data does with the point
-loads of each frequency; both bind the one slab task, _solve_slab.  The
-runner takes a list of work items (slab slices; receiver_data also gives
-it frequency indices) and a cap on its lanes: the calling thread is lane
-0, and a module-level thread pool, created on first use with one worker
-per CPU in the process's affinity mask beyond the first, runs the
-others.  The lanes pull items from one shared queue, so a lane that
-starts late, or never starts because every pool worker is busy with
-another caller or with an outer lane runner, leaves its items to the
-lanes that run; lane runners nest without waiting on each other.
-SuperLU's solve releases the GIL, so the lanes run in parallel, and narrow slabs cost no more per
-column than one wide solve: at 321x161 on one core, eight 8-column slabs
-took 0.50-0.90 s against 0.83-0.99 s for one 64-column call, and they
-hold less scratch memory.  Each slab is one grid.checked_solve call,
-which holds the residual contract and its one refinement round for the
-Helmholtz slabs and the diffusion lift alike, and the solutions land in
-one Fortran-order array, the layout SuperLU returns.  Which lane solves
-a slab does not change its bits: a slab is one SuperLU call on the same
-columns whatever the lane and core count.  With one BLAS thread a column even comes out with the
-same bits alone, in a slab or in one wide call; a threaded BLAS may
-round the wide supernode updates differently.
+and solves them one after another on the calling thread; receiver_data
+does the same with the point loads of each frequency.  Narrow slabs cost
+no more per column than one wide solve: at 321x161 on one core, eight
+8-column slabs took 0.50-0.90 s against 0.83-0.99 s for one 64-column
+call, and they hold less scratch memory.  Each slab is one
+grid.checked_solve call, which holds the residual contract and its one
+refinement round for the Helmholtz slabs and the diffusion lift alike,
+and the solutions land in one Fortran-order array, the layout SuperLU
+returns.  With one BLAS thread a column comes out with the same bits
+alone, in a slab or in one wide call; a threaded BLAS may round the wide
+supernode updates differently.
 
 Every SuperLU factorization is made and dropped on one thread.  With
 scipy 1.17.1 an LU made on a worker thread and dropped on the main
 thread leaked about 48 MB per factorization at 321x161 (RSS 141 ->
 414 MB over 6 cycles, none of it returned by malloc_trim); made and
-dropped on one thread, RSS stayed flat at 81 MB.  solve_array factors on
-its calling thread, and the runner drops its reference to the task on
-the calling thread before it returns, so a worker never holds the last
-reference to that LU; receiver_data factors each frequency on the lane
-that solves it and drops the LU there.  A lane whose task fails
-clears the frames of the error's traceback before passing the error on,
-so an LU that the failed task held in a frame's locals is dropped on
-that lane, not wherever the error ends up.  Clearing leaves each frame's
-function alive, so such a task keeps its LU out of closure cells.
+dropped on one thread, RSS stayed flat at 81 MB.  solve_array factors
+and solves on its calling thread; receiver_data factors each frequency
+on the thread that solves it and drops the LU there.  A frequency that
+fails clears the frames of the error's traceback before the error
+leaves its thread, so the LU held in a frame's locals is dropped on
+that thread, not wherever the error ends up.
 
 A dropped LU's pages stay resident in glibc's heap, and where the next
 factorization and the slab buffers land among them is left to thread
@@ -77,14 +64,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import os
 import sys
 import threading
 import traceback
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Sequence
 from concurrent import futures
 from dataclasses import dataclass, field
-from typing import TypeVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -101,8 +86,6 @@ SLAB_COLUMNS = 8
 # the live Helmholtz LUs at two; each further lane would raise the peak
 # memory by one LU.
 FREQUENCIES_IN_FLIGHT = 2
-
-_Item = TypeVar("_Item")
 
 
 @dataclass(frozen=True)
@@ -169,43 +152,26 @@ class HelmholtzOperator:
 
         rhs_cols is a dense (n_nodes, k) column stack, any other shape
         raises GridError; the (n_nodes, k) solution comes back in Fortran
-        order.  All calls share one factorization, made on the calling
-        thread; no lane keeps a reference to it once the call returns, so
-        it is dropped where it was made.  The columns are solved in slabs of SLAB_COLUMNS
-        on up to one lane per CPU, each lane taking the next unsolved
-        slab from a queue the lanes share (see the module docstring), so
-        the lane count changes no bit of the result.  Each slab is solved
-        by grid.checked_solve, which raises SolveError when a column
-        misses its residual contract, also when the slab ran on a worker
-        lane.
+        order.  One factorization, made on the calling thread, serves
+        every column.  The columns are solved SLAB_COLUMNS at a time on
+        the calling thread (see the module docstring), each slab by
+        grid.checked_solve, which raises SolveError when a column misses
+        its residual contract.  A wide call pays for the one thread: at
+        321x161 on a 2-CPU host a 64-column call took 0.43-0.63 s,
+        against 0.21-0.26 s when two threads shared its slabs.  The
+        inversion solves one column per source, 16 on the benchmark's
+        salt model.
         """
         block = np.asarray(rhs_cols, dtype=np.complex128)
         if block.ndim != 2 or block.shape[0] != self.grid.n_nodes:
             raise GridError(f"rhs shape {block.shape} is not ({self.grid.n_nodes} grid nodes, k)")
         trans = "H" if adjoint else "N"
         op = self.matrix.getH() if adjoint else self.matrix
+        lu = self.factor()
         sols = np.empty(block.shape, dtype=np.complex128, order="F")
-        task = functools.partial(_solve_slab, self.factor(), op, trans, block, None, sols)
-        _run_lanes(_slabs(block.shape[1]), task)
+        for cols in _slabs(block.shape[1]):
+            sols[:, cols] = checked_solve(lu, op, block[:, cols], trans)
         return sols
-
-
-def _solve_slab(
-    lu: spla.SuperLU, op: sp.spmatrix, trans: str, rhs: np.ndarray | sp.spmatrix,
-    rec_op: sp.spmatrix | None, out: np.ndarray, cols: slice,
-) -> None:
-    """The slab task: solve the columns cols of rhs with grid.checked_solve
-    and write the solution, or rec_op @ the solution, to out[:, cols].
-
-    A sparse rhs (receiver_data's point loads) is densified one slab at a
-    time.  Bound with functools.partial rather than written as a closure:
-    a frame keeps its function, and so a closure's cells, alive after the
-    lane runner clears a failed task's frames, and the LU would outlive
-    them.
-    """
-    slab = rhs[:, cols].toarray() if sp.issparse(rhs) else rhs[:, cols]
-    x = checked_solve(lu, op, slab, trans)
-    out[:, cols] = x if rec_op is None else rec_op @ x
 
 
 # glibc's malloc_trim; None where the C library has none
@@ -224,101 +190,9 @@ def _trim_heap() -> None:
         _malloc_trim(0)
 
 
-def _lane_count() -> int:
-    """CPUs this process may run on: the calling thread plus one per pool worker."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _slabs(n_columns: int) -> list[slice]:
     """The column slices of n_columns columns, SLAB_COLUMNS wide (the last may be narrower)."""
     return [slice(s, s + SLAB_COLUMNS) for s in range(0, n_columns, SLAB_COLUMNS)]
-
-
-class _WorkQueue:
-    """The work items of one lane-runner call, shared by its lanes."""
-
-    def __init__(self, items: Iterable[_Item], task: Callable[[_Item], None]):
-        self._lock = threading.Lock()
-        self._left = iter(items)
-        self._task: Callable[[_Item], None] | None = task
-
-    def drain(self) -> None:
-        """Run the task on items until none is left; a failure stops every lane."""
-        while True:
-            with self._lock:
-                item, task = next(self._left, None), self._task
-            if item is None:
-                return
-            try:
-                task(item)
-            except BaseException as exc:
-                self.close()
-                # free what the failed task's frames hold on this lane
-                traceback.clear_frames(exc.__traceback__)
-                raise
-
-    def close(self) -> None:
-        """Hand out no more items and drop the task with what it holds."""
-        with self._lock:
-            self._left, self._task = iter(()), None
-
-
-def _run_lanes(
-    items: Sequence[_Item], task: Callable[[_Item], None], max_lanes: int | None = None
-) -> None:
-    """Call task(item) for each item on one lane per CPU, or max_lanes if fewer.
-
-    Worker lanes start at once and pull items from one shared queue; the
-    calling thread pulls them as well, so with one CPU, or with every
-    worker busy, it runs them all itself.  The call returns, or raises
-    the first error of the calling thread or else of a worker lane, only
-    after every lane has stopped; a failing lane stops the others from
-    taking more items.  Before it returns it drops its reference to task
-    on the calling thread, so whatever task holds (an LU) is freed there.
-    """
-    work = _WorkQueue(items, task)
-    n_workers = min(_lane_count(), len(items), max_lanes or len(items)) - 1
-    workers = [_worker_pool().submit(work.drain) for _ in range(max(0, n_workers))]
-    try:
-        work.drain()
-    finally:
-        work.close()
-        # a lane still queued behind other work has nothing left to take
-        started = [w for w in workers if not w.cancel()]
-        futures.wait(started)
-    for w in started:
-        w.result()  # re-raises a worker lane's error here
-
-
-_pool: futures.ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _worker_pool() -> futures.ThreadPoolExecutor:
-    """The module's lane workers, created on first use and reused after.
-
-    Reusing the threads keeps glibc from growing a fresh per-thread heap
-    on every solve.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = futures.ThreadPoolExecutor(
-                max_workers=max(1, _lane_count() - 1), thread_name_prefix="helmholtz-lane"
-            )
-    return _pool
-
-
-def _forget_pool() -> None:
-    """A forked child inherits the pool object but not its threads."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # POSIX; elsewhere nothing forks
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @functools.lru_cache(maxsize=4)
@@ -438,42 +312,71 @@ def receiver_data(model: Model, omegas: Sequence[float], acquisition: Acquisitio
     """Forward-solve every source at every angular frequency in omegas and
     sample the receivers: the (n_omega, n_sources, n_receivers) block.
 
-    The frequencies run on the lane runner, FREQUENCIES_IN_FLIGHT (two)
-    at a time.  Each frequency lane assembles and factors its frequency,
-    solves its source slabs on a nested lane runner (so an idle CPU still
-    helps, and one frequency or one CPU runs as a plain loop), writes the
-    receiver samples into the block, and then drops its operator and LU
-    and trims the heap, all on its own thread (see the module docstring
-    for the leak an LU made on a worker and dropped elsewhere caused).
+    FREQUENCIES_IN_FLIGHT (two) frequencies run at once: the calling
+    thread and the one worker of an executor made for this call each take
+    the next frequency left, until none is.  Each assembles and factors
+    its frequency, solves its source slabs in a loop, writes the receiver
+    samples into the block, and then drops its operator and LU and trims
+    the heap, all on its own thread (see the module docstring for the
+    leak an LU made on one thread and dropped on another caused).
     SuperLU's factorization releases the GIL, so on an idle host two
     frequencies factor in parallel: two 321x161 factorizations on two
     threads took 0.36-0.44 s against 0.66-0.81 s in sequence.  With
-    another process holding a CPU that gain is gone.  Two lanes, not one
-    per CPU, because each holds an LU, and the benchmark's peak-memory
-    bound was set on two.
+    another process holding a CPU that gain is gone.  Two, not one per
+    CPU, because each holds an LU, and the benchmark's peak-memory bound
+    was set on two.  The caller is one of the two because two fresh
+    workers raised forward_survey's peak RSS from 235 to 242-243 MB.  A
+    failed frequency stops both threads from taking another; the call
+    returns, or raises the caller's error or else the worker's, only
+    after the worker has stopped.
 
-    Each slab task densifies its SLAB_COLUMNS point loads, solves them
-    with grid.checked_solve, as solve_array does, and writes the
-    receiver samples straight into the block, so no full wavefield and
-    no dense source block is ever held; trimming the heap as each LU is
-    dropped makes the peak RSS the same from one run to the next.  A
-    variant that kept each frequency's wavefields ran just as fast on the
+    Each slab densifies its SLAB_COLUMNS point loads, solves them with
+    grid.checked_solve, as solve_array does, and writes the receiver
+    samples straight into the block, so no full wavefield and no dense
+    source block is ever held; trimming the heap as each LU is dropped
+    makes the peak RSS the same from one run to the next.  A variant that
+    kept each frequency's wavefields ran just as fast on the
     forward_survey benchmark (321x161, 64 sources, where one wavefield
     block is 53 MB), but its peak RSS read 415-426 MB, 13-14% above a
     loop that kept none and past the benchmark's 10% memory bound.  The
-    samples are bit-identical to sampling solve_array's result: each
-    slab is the same SuperLU call on the same columns.
+    samples are bit-identical to sampling solve_array's result: each slab
+    is the same SuperLU call on the same columns.
     """
     rec_op = receiver_matrix(model.grid, acquisition)
     loads = source_batch(model.grid, acquisition)
     data = np.empty((len(omegas), acquisition.n_sources, acquisition.n_receivers), dtype=np.complex128)
+    left = list(range(len(omegas)))
+    lock = threading.Lock()
 
-    def synthesize(i: int) -> None:
-        op = assemble(model, omegas[i])
-        task = functools.partial(_solve_slab, op.factor(), op.matrix, "N", loads, rec_op, data[i].T)
-        _run_lanes(_slabs(acquisition.n_sources), task)
-        del op, task
-        _trim_heap()
+    def take_frequencies() -> None:
+        try:
+            while True:
+                with lock:
+                    if not left:
+                        return
+                    i = left.pop(0)
+                _synthesize(model, omegas[i], loads, rec_op, data[i].T)
+        except BaseException as exc:
+            with lock:
+                left.clear()
+            # drop the failed frequency's LU, held in its frames, on this thread
+            traceback.clear_frames(exc.__traceback__)
+            raise
 
-    _run_lanes(range(len(omegas)), synthesize, FREQUENCIES_IN_FLIGHT)
+    with futures.ThreadPoolExecutor(FREQUENCIES_IN_FLIGHT - 1) as pool:
+        workers = [pool.submit(take_frequencies) for _ in range(min(FREQUENCIES_IN_FLIGHT, len(omegas)) - 1)]
+        take_frequencies()
+    for w in workers:
+        w.result()  # re-raises the worker's error here
     return data
+
+
+def _synthesize(model: Model, omega: float, loads: sp.csc_matrix, rec_op: sp.csr_matrix, out: np.ndarray) -> None:
+    """One frequency of receiver_data: out[:, cols] = rec_op @ (the solution
+    of the loads' columns cols), slab by slab."""
+    op = assemble(model, omega)
+    lu = op.factor()
+    for cols in _slabs(loads.shape[1]):
+        out[:, cols] = rec_op @ checked_solve(lu, op.matrix, loads[:, cols].toarray())
+    del op, lu
+    _trim_heap()

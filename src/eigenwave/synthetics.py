@@ -84,9 +84,9 @@ def generate_data(
 ) -> FrequencyDataset:
     """Forward-solve and sample receivers for every (frequency, source).
 
-    helmholtz.receiver_data does the work at omega = 2 pi f, on its
-    frequency and slab lanes; this wraps its block with the acquisition
-    and the frequencies in Hz.
+    helmholtz.receiver_data does the work at omega = 2 pi f, two
+    frequencies at a time; this wraps its block with the acquisition and
+    the frequencies in Hz.
     """
     freqs = tuple(float(f) for f in frequencies_hz)
     data = receiver_data(model_true, [2.0 * np.pi * f for f in freqs], acquisition)

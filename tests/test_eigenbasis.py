@@ -439,6 +439,21 @@ def test_kinds_equal_up_to_a_constant_give_one_basis(kind, same_as, same_beta, s
     np.testing.assert_allclose(basis.m0.values, other.m0.values, rtol=1e-12)
 
 
+@given(exponent=st.floats(-12.0, 12.0))
+@settings(max_examples=10, deadline=None)
+def test_basis_does_not_depend_on_the_model_units(exponent):
+    # eta sees only the normalized gradient, so c m has c m0 as its lift and
+    # the same eigenpairs, to rounding
+    c = 10.0 ** exponent
+    m = centred_salt(Grid2D(nx=41, nz=21, hx=50.0, hz=50.0))
+    spec = DiffusionSpec("eta4", 1e-2)
+    basis = build_basis(m, spec, 20)
+    scaled = build_basis(field(m.grid, c * m.values), spec, 20)
+    np.testing.assert_allclose(scaled.m0.values, c * basis.m0.values, rtol=1e-12)
+    np.testing.assert_allclose(scaled.eigenvalues, basis.eigenvalues, rtol=1e-10)
+    np.testing.assert_allclose(scaled.eigenvectors, basis.eigenvectors, rtol=0, atol=1e-10)
+
+
 @pytest.mark.parametrize("kind", ["eta2", "eta7"])
 def test_built_basis_of_a_near_singular_operator_loads(kind, tmp_path):
     # on the benchmark's 161x81 salt model at beta = 1e-3, lambda_1 of the

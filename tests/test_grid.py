@@ -293,5 +293,22 @@ class TestCheckedSolve:
         stub = self.ScriptedLU(lu, [1e-6, 0.0])  # off by 1e-6 relative, then exact
         x = checked_solve(stub, op, b)
         assert stub.calls == 2
+        op_norm = spla.norm(op, 1)
         for j in range(b.shape[1]):
-            assert np.linalg.norm(op @ x[:, j] - b[:, j]) <= RESIDUAL_RTOL * max(1.0, np.linalg.norm(b[:, j]))
+            bound = RESIDUAL_RTOL * (op_norm * np.linalg.norm(x[:, j]) + np.linalg.norm(b[:, j]))
+            assert np.linalg.norm(op @ x[:, j] - b[:, j]) <= bound
+
+    @given(exponent=st.floats(-12.0, 12.0))
+    @settings(max_examples=50, deadline=None)
+    def test_bound_does_not_depend_on_scale(self, exponent):
+        # op and b scaled by c: the true LU passes at every c, and an LU that
+        # returns (1 + delta) x fails at every c.  Refinement leaves a residual
+        # of delta^2 ||b||, so delta = 1e-3; an absolute bound of 1e-10 would
+        # let this fault through wherever ||b|| <= 1e-4.
+        c = 10.0 ** exponent
+        op, _, b = self.system()
+        op, b = c * op, c * b
+        lu = spla.splu(op)
+        np.testing.assert_allclose(checked_solve(lu, op, b), lu.solve(b), rtol=1e-14)
+        with pytest.raises(SolveError, match="residual contract missed"):
+            checked_solve(self.ScriptedLU(lu, [1e-3]), op, b)

@@ -1,9 +1,7 @@
-import multiprocessing
 import os
 import subprocess
 import sys
 import threading
-from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -275,12 +273,12 @@ class TestSolve:
         resid = np.linalg.norm(op.matrix.getH() @ q - b)
         assert resid <= 1e-10 * max(1.0, np.linalg.norm(b))
 
-    @pytest.mark.parametrize("lanes", [None, 1, 3])  # None: one lane per CPU
+    @pytest.mark.parametrize("width", [None, 1, 3])  # slab width; None: SLAB_COLUMNS
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("k", [1, 7, 8, 9, 17])
-    def test_slabs_match_column_by_column(self, monkeypatch, k, adjoint, lanes):
-        if lanes is not None:
-            monkeypatch.setattr(helmholtz, "_lane_count", lambda: lanes)
+    def test_slabs_match_column_by_column(self, monkeypatch, k, adjoint, width):
+        if width is not None:
+            monkeypatch.setattr(helmholtz, "SLAB_COLUMNS", width)
         rng = np.random.default_rng(k)
         g = Grid2D(nx=12, nz=9, hx=10.0, hz=10.0)
         op = assemble(homogeneous_model(g), omega=25.0)
@@ -292,42 +290,8 @@ class TestSolve:
         alone = np.stack([op.factor().solve(f[:, [j]], trans=trans)[:, 0] for j in range(k)], axis=1)
         assert u.tobytes() == alone.tobytes()
 
-    def test_worker_lane_residual_miss_reaches_caller(self, monkeypatch):
-        monkeypatch.setattr(helmholtz, "_lane_count", lambda: 2)
-        rng = np.random.default_rng(12)
-        g = Grid2D(nx=12, nz=9, hx=10.0, hz=10.0)
-        op = assemble(homogeneous_model(g), omega=25.0)
-        lu = op.factor()
-        caller = threading.get_ident()
-        corrupted_in = set()
-        worker_started = threading.Event()
-
-        class WorkerCorruptsSolve:
-            def solve(self, b, trans="N"):
-                if threading.get_ident() == caller:
-                    # lanes share one queue: hold the caller until a worker took a slab
-                    worker_started.wait(timeout=10)
-                    return lu.solve(b, trans=trans)
-                worker_started.set()
-                corrupted_in.add(threading.get_ident())
-                return lu.solve(b, trans=trans) + 1.0
-
-        op._lu = WorkerCorruptsSolve()
-        f = rng.standard_normal((g.n_nodes, 2 * helmholtz.SLAB_COLUMNS)) + 0j
-        with pytest.raises(SolveError, match="residual contract"):
-            op.solve_array(f)  # one slab on the caller, one on a worker
-        assert corrupted_in
-        # one slab runs on the caller alone and meets the contract
-        op.solve_array(f[:, : helmholtz.SLAB_COLUMNS])
-
-    def test_busy_workers_leave_every_slab_to_the_caller(self, monkeypatch):
-        # the only worker is held by another job: lane 0 must solve every slab
-        # and return without waiting for the queued lane
-        pool = futures.ThreadPoolExecutor(max_workers=1)
-        monkeypatch.setattr(helmholtz, "_pool", pool)
-        monkeypatch.setattr(helmholtz, "_lane_count", lambda: 2)
-        release = threading.Event()
-        blocker = pool.submit(release.wait, 30)
+    def test_every_slab_is_solved_on_the_calling_thread(self):
+        # an LU is made and used on one thread, and solve_array starts no thread
         rng = np.random.default_rng(16)
         g = Grid2D(nx=12, nz=9, hx=10.0, hz=10.0)
         op = assemble(homogeneous_model(g), omega=25.0)
@@ -338,28 +302,19 @@ class TestSolve:
 
         class RecordingSolve:
             def solve(self, b, trans="N"):
-                solved_on.append(threading.get_ident())
+                solved_on.append((threading.get_ident(), threading.active_count()))
                 return lu.solve(b, trans=trans)
 
         op._lu = RecordingSolve()
-        out = {}
-        caller = threading.Thread(target=lambda: out.setdefault("u", op.solve_array(f)))
-        try:
-            caller.start()
-            caller.join(timeout=20)
-            assert not caller.is_alive(), "solve_array waited on a lane that never started"
-        finally:
-            release.set()
-            blocker.result(timeout=30)
-            pool.shutdown(wait=True)
-        caller.join(timeout=30)
-        assert set(solved_on) == {caller.ident}
+        threads = threading.active_count()
+        u = op.solve_array(f)
+        assert solved_on == [(threading.get_ident(), threads)] * 3
         alone = np.stack([lu.solve(f[:, [j]])[:, 0] for j in range(k)], axis=1)
-        assert out["u"].tobytes() == alone.tobytes()
+        assert u.tobytes() == alone.tobytes()
 
-    def test_concurrent_callers_share_the_workers(self, monkeypatch):
-        # more lanes and callers than cores, switching threads every microsecond
-        monkeypatch.setattr(helmholtz, "_lane_count", lambda: 4)
+    def test_concurrent_callers_get_the_same_bits(self):
+        # more callers than cores on one operator and its LU, switching
+        # threads every microsecond
         rng = np.random.default_rng(15)
         g = Grid2D(nx=12, nz=9, hx=10.0, hz=10.0)
         op = assemble(homogeneous_model(g), omega=25.0)
@@ -390,30 +345,9 @@ def test_import_starts_no_thread():
     code = (
         "import threading, eigenwave\n"
         "assert threading.active_count() == 1, threading.enumerate()\n"
-        "assert eigenwave.helmholtz._pool is None\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-
-def test_forked_child_solves_with_its_own_workers(monkeypatch):
-    monkeypatch.setattr(helmholtz, "_lane_count", lambda: 2)
-    rng = np.random.default_rng(14)
-    g = Grid2D(nx=12, nz=9, hx=10.0, hz=10.0)
-    op = assemble(homogeneous_model(g), omega=25.0)
-    f = rng.standard_normal((g.n_nodes, 2 * helmholtz.SLAB_COLUMNS)) + 0j
-    expected = op.solve_array(f).tobytes()  # the parent's pool now exists
-
-    def child():
-        sys.exit(0 if op.solve_array(f).tobytes() == expected else 1)
-
-    proc = multiprocessing.get_context("fork").Process(target=child)
-    proc.start()
-    proc.join(timeout=30)
-    if proc.is_alive():
-        proc.kill()
-        pytest.fail("solve in a forked child waited on the parent's worker threads")
-    assert proc.exitcode == 0
 
 
 class TestPhysics:

@@ -106,19 +106,31 @@ def test_every_edge_aware_kind_compresses_better_than_tikhonov(compression, kind
     assert best < 0.7 * compression[SPECS["eta9"]][n]
 
 
+@pytest.fixture(scope="module")
+def best_specs(compression):
+    """Per kind, the spec of COMPRESSION_BETAS at which that kind
+    compresses the true model best at N_MAX."""
+    return {
+        kind: min((spec for spec in compression if spec.kind == kind), key=lambda spec: compression[spec][N_MAX])
+        for kind in ETA_KINDS
+    }
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_projection_denoises_with_edge_aware_basis(salt, seed):
+def test_projection_denoises_with_edge_aware_basis(salt, best_specs, seed):
+    # beta is chosen against the truth, so this compares each kind's best
+    # case, not a beta a user could pick from the noisy model alone
     noisy = add_model_noise(salt, NOISE_PERCENT, seed)
     noisy_err = relative_error(salt.field, noisy.field)
-    err = {}
-    for kind in ("eta1", "eta4", "eta9"):
-        basis = build_basis(noisy.field, SPECS[kind], N_MAX)
-        err[kind] = projection_error(salt.field, noisy.field, basis)
-    # edge-aware: about 0.65-0.75 of the noisy input's error
-    assert err["eta1"] < 0.85 * noisy_err
-    assert err["eta4"] < 0.85 * noisy_err
+    ratio = {
+        kind: projection_error(salt.field, noisy.field, build_basis(noisy.field, spec, N_MAX)) / noisy_err
+        for kind, spec in best_specs.items()
+    }
+    # edge-aware, eta1-eta8: about 0.64-0.77 of the noisy input's error
+    # (0.64-0.80 on seeds 6-10)
+    assert {kind: r for kind, r in ratio.items() if kind != "eta9" and not r < 0.85} == {}
     # Tikhonov smooths the dome away: about 1.45 times the noisy input's error
-    assert err["eta9"] > 1.25 * noisy_err
+    assert ratio["eta9"] > 1.25
 
 
 FREQUENCIES = (2.0, 3.0, 4.0)

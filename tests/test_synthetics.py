@@ -2,7 +2,6 @@ import gc
 import sys
 import threading
 import time
-from concurrent import futures
 
 import numpy as np
 import pytest
@@ -114,15 +113,16 @@ def reference_data(model, acq, freqs):
 
 
 class TestGenerateData:
-    # None: one lane per CPU; 2 and 3 nest the slab lanes in frequency lanes
-    @pytest.mark.parametrize("lanes", [None, 1, 2, 3])
+    @pytest.mark.parametrize("width", [None, 1, 2, 3])  # slab width; None: SLAB_COLUMNS
     @pytest.mark.parametrize("freqs", [(4.0,), (4.0, 5.0, 6.0)])
     @pytest.mark.parametrize("n_sources", [1, 8, 9, 17])
-    def test_matches_column_by_column_reference(self, monkeypatch, n_sources, freqs, lanes):
-        if lanes is not None:
-            monkeypatch.setattr(helmholtz, "_lane_count", lambda: lanes)
+    def test_matches_column_by_column_reference(self, monkeypatch, n_sources, freqs, width):
+        if width is not None:
+            monkeypatch.setattr(helmholtz, "SLAB_COLUMNS", width)
         model, acq = survey(n_sources)
+        threads = threading.enumerate()
         ds = generate_data(model, acq, freqs)
+        assert threading.enumerate() == threads  # no thread outlives the call
         assert ds.frequencies == freqs
         assert ds.data.tobytes() == reference_data(model, acq, freqs).tobytes()
 
@@ -134,17 +134,16 @@ class TestGenerateData:
         assert loads.toarray().tobytes() == dense.tobytes()
 
     def test_factor_failure_waits_for_every_lane(self, monkeypatch):
-        monkeypatch.setattr(helmholtz, "_lane_count", lambda: 2)
         model, acq = survey(17)
         freqs = (4.0, 5.0, 6.0)
         expected = generate_data(model, acq, freqs).data.tobytes()
-        real_splu, real_slab = spla.splu, helmholtz._solve_slab
+        real_splu, real_solve = spla.splu, helmholtz.checked_solve
         n_splu, running, slab_started = [0], [0], threading.Event()
         lock = threading.Lock()
 
         def splu_failing_second(A, **kwargs):
             n_splu[0] += 1
-            if n_splu[0] == 2:  # frequency 2, factored while a worker solves frequency 1
+            if n_splu[0] == 2:  # the second frequency, factored while the other lane solves
                 slab_started.wait(timeout=10)
                 raise RuntimeError("Factor is exactly singular")
             return real_splu(A, **kwargs)
@@ -155,23 +154,23 @@ class TestGenerateData:
             slab_started.set()
             try:
                 time.sleep(0.05)
-                return real_slab(*args)
+                return real_solve(*args)
             finally:
                 with lock:
                     running[0] -= 1
 
         with monkeypatch.context() as patch:
             patch.setattr(spla, "splu", splu_failing_second)
-            patch.setattr(helmholtz, "_solve_slab", slow_slab)
+            patch.setattr(helmholtz, "checked_solve", slow_slab)
             with pytest.raises(SolveError, match="sparse LU failed"):
                 generate_data(model, acq, freqs)
             assert slab_started.is_set()
             assert running[0] == 0  # no lane was still solving when the error arrived
+            assert n_splu[0] == 2  # and neither took the third frequency
         assert generate_data(model, acq, freqs).data.tobytes() == expected
 
     def test_worker_residual_miss_reaches_caller(self, monkeypatch):
-        monkeypatch.setattr(helmholtz, "_lane_count", lambda: 2)
-        model, acq = survey(9)  # two slabs, one frequency: the caller takes one
+        model, acq = survey(9)  # two frequencies: the caller takes one, the worker the other
         caller = threading.get_ident()
         worker_started = threading.Event()
         real_splu = spla.splu
@@ -189,13 +188,12 @@ class TestGenerateData:
 
         monkeypatch.setattr(spla, "splu", lambda A, **kw: WorkerCorruptsSolve(real_splu(A, **kw)))
         with pytest.raises(SolveError, match="residual contract"):
-            generate_data(model, acq, (4.0,))
+            generate_data(model, acq, (4.0, 5.0))
         assert worker_started.is_set()
 
-    def test_concurrent_callers_share_the_lanes(self, monkeypatch):
-        # nested frequency and slab lanes of several callers on more lanes
-        # than cores, switching threads every microsecond
-        monkeypatch.setattr(helmholtz, "_lane_count", lambda: 4)
+    def test_concurrent_callers_get_the_same_data(self):
+        # several callers, each with its two lanes, on more threads than
+        # cores, switching threads every microsecond
         model, acq = survey(17)
         freqs = (4.0, 5.0, 6.0)
         expected = reference_data(model, acq, freqs).tobytes()
@@ -219,7 +217,6 @@ class TestGenerateData:
         assert results == [True] * 9
 
     def test_failure_in_a_worker_frequency_drops_its_lu_there(self, monkeypatch):
-        monkeypatch.setattr(helmholtz, "_lane_count", lambda: 2)
         model, acq = survey(17)
         caller = threading.get_ident()
         worker_factored = threading.Event()
@@ -268,12 +265,9 @@ class TestGenerateData:
 
 @pytest.mark.parametrize("job", ["generate_data", "run_inversion"])
 def test_every_lu_is_made_and_dropped_on_the_calling_thread(monkeypatch, job):
-    # generate_data factors on its frequency lanes instead: there each LU
-    # must be dropped on the thread that made it, and no more than two
-    # Helmholtz LUs may be alive at once, although three lanes could run
-    monkeypatch.setattr(helmholtz, "_lane_count", lambda: 3)
-    pool = futures.ThreadPoolExecutor(max_workers=2)
-    monkeypatch.setattr(helmholtz, "_pool", pool)
+    # generate_data factors on its two frequency lanes instead: there each
+    # LU must be dropped on the thread that made it, and no more than two
+    # Helmholtz LUs may be alive at once
     model, acq = survey(17)
     if job == "run_inversion":
         ds = generate_data(model, acq, (4.0,))
@@ -306,25 +300,23 @@ def test_every_lu_is_made_and_dropped_on_the_calling_thread(monkeypatch, job):
                 alive[0] -= self.helmholtz
 
     monkeypatch.setattr(spla, "splu", RecordedLU)
-    try:
-        if job == "generate_data":
-            generate_data(model, acq, (4.0, 5.0, 6.0, 7.0))
-            n_lu = 4
-        else:
-            start = make_layered_model(model.grid, 1500.0, 2000.0, c_min=800.0, c_max=5000.0)
-            config = InversionConfig(
-                frequencies=(4.0,), n_schedule=(3, 5), n_iter=2, spec=DiffusionSpec("eta3", 0.05)
-            )
-            assert len(config.blocks()) == 2
-            run_inversion(config, ds, start)
-            n_lu = len(made_on)
-            assert n_lu >= 4  # the diffusion LU and at least one Helmholtz LU per block
-    finally:
-        pool.shutdown(wait=True)
+    if job == "generate_data":
+        generate_data(model, acq, (4.0, 5.0, 6.0, 7.0))
+        n_lu = 4
+    else:
+        start = make_layered_model(model.grid, 1500.0, 2000.0, c_min=800.0, c_max=5000.0)
+        config = InversionConfig(
+            frequencies=(4.0,), n_schedule=(3, 5), n_iter=2, spec=DiffusionSpec("eta3", 0.05)
+        )
+        assert len(config.blocks()) == 2
+        run_inversion(config, ds, start)
+        n_lu = len(made_on)
+        assert n_lu >= 4  # the diffusion LU and at least one Helmholtz LU per block
     gc.collect()
     assert len(made_on) == len(dropped_on) == n_lu
     if job == "generate_data":
         assert all(made == dropped for made, dropped in dropped_on)
+        assert len(set(made_on)) == 2  # the caller and its one worker
         assert helmholtz.FREQUENCIES_IN_FLIGHT == 2
         assert most_alive[0] <= 2
     else:
