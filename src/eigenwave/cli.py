@@ -412,9 +412,9 @@ def main(argv=None) -> int:
         description="Frequency-domain FWI with diffusion-eigenvector model compression.",
         epilog=(
             "Set OPENBLAS_NUM_THREADS=1 before running.  A threaded BLAS changes "
-            "Helmholtz results in the last bits (by up to 2.9e-12 on 2 threads) "
-            "and slows multi-column solves: at 321x161 a 64-column solve took "
-            "0.78-1.24 s with OpenBLAS on 2 threads against 0.43-0.63 s on 1."
+            "Helmholtz results in the last bits (by up to 2.9e-12 on 2 threads) and "
+            "does not speed up multi-column solves: at 321x161 a 64-column solve took "
+            "0.67-0.90 s with OpenBLAS on 2 threads against 0.56-0.83 s on 1."
         ),
     )
     parser.add_argument("command", choices=sorted(COMMANDS))

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import PERMC_SPEC, Grid2D, ScalarField, checked_solve, face_weights, neighbour_table, same_grid
+from .grid import Grid2D, ScalarField, checked_solve, face_weights, neighbour_table, same_grid, sparse_lu
 
 ETA_KINDS = (
     "eta1",  # Perona-Malik rational
@@ -139,8 +139,9 @@ class DiffusionOperator:
     `boundary_op` maps a full nodal vector to the interior right-hand
     side produced by its boundary values, so the discrete Dirichlet
     problem A x = boundary_op @ m recovers the lift of m's edge data.
-    The LU of `matrix` is built on first use and shared by the lift and
-    the eigensolver.
+    The LU of `matrix` (grid.sparse_lu, which raises SolveError if it is
+    singular) is built on first use and shared by the lift and the
+    eigensolver.
     """
 
     grid: Grid2D
@@ -150,11 +151,7 @@ class DiffusionOperator:
 
     def factor(self) -> spla.SuperLU:
         if self._lu is None:
-            try:
-                lu = spla.splu(self.matrix, permc_spec=PERMC_SPEC)
-            except RuntimeError as exc:  # singular factorization
-                raise DiffusionError(f"diffusion LU failed: {exc}") from exc
-            object.__setattr__(self, "_lu", lu)
+            object.__setattr__(self, "_lu", sparse_lu(self.matrix, "diffusion operator"))
         return self._lu
 
     def interior_indices(self) -> np.ndarray:

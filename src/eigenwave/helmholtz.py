@@ -16,30 +16,20 @@ index arrays.  The cache took 2.5-4.2 ms to build at 161x81 (11-17 ms
 at 321x161) once the grid's table existed, against 7-11 ms (22-27 ms)
 from sparse products; an assembly from it takes 0.3-0.5 ms (1.3-1.8 ms).
 
-One sparse LU factorization serves every right-hand side at a frequency,
-including the adjoint (conjugate-transposed) systems.
+One sparse LU factorization, grid.sparse_lu, serves every right-hand side
+at a frequency, including the adjoint (conjugate-transposed) systems.
 
-Every sparse LU in the package orders its columns by minimum degree on
-the pattern of A^T + A (PERMC_SPEC).  The 5-point operators here are
-structurally symmetric, so that ordering sees the true graph, where
-SuperLU's default COLAMD orders for A^T A and fills more.  On a 161x81
-Helmholtz operator L+U holds 506,087 nonzeros against 870,181 with COLAMD,
-and a factorization runs about 1.3x faster on one core.  At 321x161 the
-fill drops from 4.81M to 2.71M; there the cheaper factorization is partly
-offset by slower 64-RHS triangular solves.
-
-solve_array cuts its right-hand sides into slabs of SLAB_COLUMNS columns
-and solves them one after another on the calling thread; receiver_data
-does the same with the point loads of each frequency.  Narrow slabs cost
-no more per column than one wide solve: at 321x161 on one core, eight
-8-column slabs took 0.50-0.90 s against 0.83-0.99 s for one 64-column
-call, and they hold less scratch memory.  Each slab is one
-grid.checked_solve call, which holds the residual contract and its one
-refinement round for the Helmholtz slabs and the diffusion lift alike,
-and the solutions land in one Fortran-order array, the layout SuperLU
-returns.  With one BLAS thread a column comes out with the same bits
-alone, in a slab or in one wide call; a threaded BLAS may round the wide
-supernode updates differently.
+Every Helmholtz solve goes through solve_array: one grid.checked_solve
+call over all of its columns, which holds the residual contract and its
+one refinement round for the Helmholtz solves and the diffusion lift
+alike, and returns the solutions in Fortran order, the layout SuperLU
+returns.  Slabs are a synthesis-only memory bound: receiver_data hands
+solve_array the point loads of a frequency SLAB_COLUMNS at a time, and
+samples each slab's wavefields at the receivers and drops them before
+it densifies the next, so no full wavefield block is ever held.  With
+one BLAS thread a column comes out with the same bits alone, in a slab
+or in one wide call; a threaded BLAS may round the wide supernode
+updates differently.
 
 Every SuperLU factorization is made and dropped on one thread.  With
 scipy 1.17.1 an LU made on a worker thread and dropped on the main
@@ -75,11 +65,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import (
-    PERMC_SPEC, SELF, Grid2D, GridError, Model, ScalarField, SolveError, checked_solve, face_weights, neighbour_table,
-)
+from . import grid as _grid
+from .grid import SELF, Grid2D, GridError, Model, ScalarField, checked_solve, face_weights, neighbour_table, sparse_lu
 
-# right-hand-side columns per SuperLU solve call; see solve_array
+# grid owns SolveError; factor and solve_array raise it, and callers catch it from here
+SolveError = _grid.SolveError
+# point loads that receiver_data densifies and solves at once; see the module docstring
 SLAB_COLUMNS = 8
 # Frequencies that receiver_data synthesizes at once, whatever the CPU
 # count.  Each holds its LU until its last slab is solved, so this caps
@@ -93,7 +84,8 @@ class Acquisition:
     """Line acquisition: point sources and fixed receivers, meters.
 
     sources: (x, z, complex amplitude) triples; receivers: (x, z) pairs.
-    All source depths must agree, likewise all receiver depths.
+    Every position and amplitude must be finite, all source depths must
+    agree, and likewise all receiver depths.
     """
 
     sources: tuple[tuple[float, float, complex], ...]
@@ -104,6 +96,8 @@ class Acquisition:
         object.__setattr__(self, "receivers", tuple((float(x), float(z)) for x, z in self.receivers))
         if not self.sources or not self.receivers:
             raise GridError("acquisition needs at least one source and one receiver")
+        if not np.all(np.isfinite([v for point in (*self.sources, *self.receivers) for v in point])):
+            raise GridError("source and receiver positions and amplitudes must be finite")
         src_depths = {z for _, z, _ in self.sources}
         rec_depths = {z for _, z in self.receivers}
         if len(src_depths) != 1 or len(rec_depths) != 1:
@@ -141,10 +135,7 @@ class HelmholtzOperator:
 
     def factor(self) -> spla.SuperLU:
         if self._lu is None:
-            try:
-                self._lu = spla.splu(self.matrix, permc_spec=PERMC_SPEC)
-            except RuntimeError as exc:  # singular factorization
-                raise SolveError(f"sparse LU failed (omega={self.omega}): {exc}") from exc
+            self._lu = sparse_lu(self.matrix, f"omega={self.omega}")
         return self._lu
 
     def solve_array(self, rhs_cols: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -153,25 +144,23 @@ class HelmholtzOperator:
         rhs_cols is a dense (n_nodes, k) column stack, any other shape
         raises GridError; the (n_nodes, k) solution comes back in Fortran
         order.  One factorization, made on the calling thread, serves
-        every column.  The columns are solved SLAB_COLUMNS at a time on
-        the calling thread (see the module docstring), each slab by
-        grid.checked_solve, which raises SolveError when a column misses
-        its residual contract.  A wide call pays for the one thread: at
-        321x161 on a 2-CPU host a 64-column call took 0.43-0.63 s,
-        against 0.21-0.26 s when two threads shared its slabs.  The
-        inversion solves one column per source, 16 on the benchmark's
-        salt model.
+        every column, and all columns are one grid.checked_solve call on
+        that thread, which raises SolveError when a column misses its
+        residual contract.  The inversion solves one column per source, 16
+        on the benchmark's salt model, and there one call is no slower than
+        slabs: at 161x81 on one BLAS thread it took 39.1-39.9 ms forward
+        and 47.3-47.4 ms adjoint, against 40.2-41.1 and 48.0-49.0 ms for
+        two 8-column slabs (per-process medians, alternating processes on
+        a shared 2-CPU host).  A wide call costs more: 64 columns at
+        321x161 took 0.86-0.95 s in one call against 0.69-0.81 s in eight
+        slabs, with the same bits.
         """
         block = np.asarray(rhs_cols, dtype=np.complex128)
         if block.ndim != 2 or block.shape[0] != self.grid.n_nodes:
             raise GridError(f"rhs shape {block.shape} is not ({self.grid.n_nodes} grid nodes, k)")
         trans = "H" if adjoint else "N"
         op = self.matrix.getH() if adjoint else self.matrix
-        lu = self.factor()
-        sols = np.empty(block.shape, dtype=np.complex128, order="F")
-        for cols in _slabs(block.shape[1]):
-            sols[:, cols] = checked_solve(lu, op, block[:, cols], trans)
-        return sols
+        return checked_solve(self.factor(), op, block, trans)
 
 
 # glibc's malloc_trim; None where the C library has none
@@ -188,11 +177,6 @@ def _trim_heap() -> None:
     """
     if _malloc_trim is not None:
         _malloc_trim(0)
-
-
-def _slabs(n_columns: int) -> list[slice]:
-    """The column slices of n_columns columns, SLAB_COLUMNS wide (the last may be narrower)."""
-    return [slice(s, s + SLAB_COLUMNS) for s in range(0, n_columns, SLAB_COLUMNS)]
 
 
 @functools.lru_cache(maxsize=4)
@@ -331,16 +315,15 @@ def receiver_data(model: Model, omegas: Sequence[float], acquisition: Acquisitio
     after the worker has stopped.
 
     Each slab densifies its SLAB_COLUMNS point loads, solves them with
-    grid.checked_solve, as solve_array does, and writes the receiver
-    samples straight into the block, so no full wavefield and no dense
-    source block is ever held; trimming the heap as each LU is dropped
-    makes the peak RSS the same from one run to the next.  A variant that
-    kept each frequency's wavefields ran just as fast on the
-    forward_survey benchmark (321x161, 64 sources, where one wavefield
-    block is 53 MB), but its peak RSS read 415-426 MB, 13-14% above a
-    loop that kept none and past the benchmark's 10% memory bound.  The
-    samples are bit-identical to sampling solve_array's result: each slab
-    is the same SuperLU call on the same columns.
+    solve_array and writes the receiver samples straight into the block,
+    so no full wavefield and no dense source block is ever held;
+    trimming the heap as each LU is dropped makes the peak RSS the same
+    from one run to the next.  A variant that kept each frequency's
+    wavefields ran just as fast on the forward_survey benchmark (321x161,
+    64 sources, where one wavefield block is 53 MB), but its peak RSS read
+    415-426 MB, 13-14% above a loop that kept none and past the
+    benchmark's 10% memory bound.  On one BLAS thread the samples are
+    bit-identical to sampling one solve_array call over every source.
     """
     rec_op = receiver_matrix(model.grid, acquisition)
     loads = source_batch(model.grid, acquisition)
@@ -373,10 +356,15 @@ def receiver_data(model: Model, omegas: Sequence[float], acquisition: Acquisitio
 
 def _synthesize(model: Model, omega: float, loads: sp.csc_matrix, rec_op: sp.csr_matrix, out: np.ndarray) -> None:
     """One frequency of receiver_data: out[:, cols] = rec_op @ (the solution
-    of the loads' columns cols), slab by slab."""
+    of the loads' columns cols), slab by slab through solve_array."""
     op = assemble(model, omega)
-    lu = op.factor()
-    for cols in _slabs(loads.shape[1]):
-        out[:, cols] = rec_op @ checked_solve(lu, op.matrix, loads[:, cols].toarray())
-    del op, lu
+    # factor before the first slab is densified: factored after it, the LU
+    # lands elsewhere in the heap, and forward_survey's peak RSS read
+    # 247.5-248.1 MB against 234.9-235.5 MB (3 runs each), although the LU
+    # is freed before _trim_heap either way
+    op.factor()
+    for s in range(0, loads.shape[1], SLAB_COLUMNS):
+        cols = slice(s, s + SLAB_COLUMNS)
+        out[:, cols] = rec_op @ op.solve_array(loads[:, cols].toarray())
+    del op
     _trim_heap()

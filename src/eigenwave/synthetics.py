@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FrequencyDataset
+from .dataset import FrequencyDataset, check_frequencies
 from .grid import Grid2D, GridError, Model, ScalarField, speed_to_slowness
 from .helmholtz import Acquisition, receiver_data
 
@@ -86,9 +86,10 @@ def generate_data(
 
     helmholtz.receiver_data does the work at omega = 2 pi f, two
     frequencies at a time; this wraps its block with the acquisition and
-    the frequencies in Hz.
+    the frequencies in Hz.  Frequencies that check_frequencies rejects
+    raise GridError before anything is assembled.
     """
-    freqs = tuple(float(f) for f in frequencies_hz)
+    freqs = check_frequencies(frequencies_hz)
     data = receiver_data(model_true, [2.0 * np.pi * f for f in freqs], acquisition)
     return FrequencyDataset(acquisition=acquisition, frequencies=freqs, data=data)
 

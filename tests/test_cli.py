@@ -481,6 +481,7 @@ BAD_VALUES = [
     ("synth", "c_max = 5000", "c_max = 5000\nnoise_percent = -5", "noise percent"),
     ("synth", "nx = 24", "nx = 2", "at least 3x3"),
     ("synth", "n_sources = 3", "n_sources = 3\nsource_amplitude = abc", "malformed"),
+    ("synth", "n_sources = 3", "n_sources = 3\nsource_amplitude = nan", "must be finite"),
     ("synth", "snr_db = 40", "snr_db = inf", "must be finite"),
     ("synth", "frequencies = 4 5 6", "frequencies = -1 5", "finite and positive"),
     ("synth", "frequencies = 4 5 6", "frequencies = 5 4", "increasing"),

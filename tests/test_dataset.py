@@ -144,6 +144,20 @@ def test_mixed_source_depths_rejected(saved):
         load_dataset(root)
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [("  30.0 20.0 0.5 -0.25", "  30.0 20.0 nan -0.25"), ("  10.0 20.0 1.0 0.0", "  10.0 nan 1.0 0.0"),
+     ("  15.0 10.0", "  inf 10.0")],
+    ids=["source_amplitude", "source_depth", "receiver_x"],
+)
+def test_non_finite_acquisition_rejected(saved, old, new):
+    # a NaN amplitude used to load and fail the inversion as a near-resonant solve
+    _, root = saved
+    edit_manifest(root, lambda lines: [new if l == old else l for l in lines])
+    with pytest.raises(FieldFileError, match="malformed: source and receiver .* must be finite"):
+        load_dataset(root)
+
+
 def test_resave_with_fewer_frequencies_leaves_no_stale_file(saved):
     ds, root = saved
     one = replace(ds, frequencies=(7.0,), data=ds.data[1:2], snr_db=None)

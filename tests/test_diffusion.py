@@ -13,6 +13,7 @@ from eigenwave.diffusion import (
     lift_from_operator,
 )
 from eigenwave.grid import Grid2D, ScalarField, SolveError
+from eigenwave.synthetics import Dome, SaltModelSpec, make_salt_model
 
 
 def field(grid, values):
@@ -314,6 +315,16 @@ class TestLift:
         object.__setattr__(op, "_lu", OffLU())
         with pytest.raises(SolveError, match="residual contract missed"):
             lift_from_operator(op, field(g, rng.standard_normal(42)))
+
+    def test_singular_lu_raises_solve_error(self):
+        # at beta = 1e-7, eta2 = exp(-|grad m|^2 / beta) floors to the smallest
+        # normal float across the dome's edge, and the LU is exactly singular
+        g = Grid2D(nx=24, nz=12, hx=50.0, hz=50.0)
+        dome = Dome(x=600.0, z=300.0, rx=200.0, rz=100.0, speed=2400.0)
+        m = make_salt_model(SaltModelSpec(1500.0, 2000.0, (dome,), c_min=800.0, c_max=5000.0), g)
+        op = assemble_diffusion(eval_eta(DiffusionSpec("eta2", 1e-7), gradient_norms(m.field)))
+        with pytest.raises(SolveError, match=r"sparse LU failed \(diffusion operator\): .*singular"):
+            lift_from_operator(op, m.field)
 
     def test_boundary_values_preserved(self):
         rng = np.random.default_rng(33)

@@ -11,10 +11,10 @@ import scipy.sparse.linalg as spla
 from eigenwave import helmholtz
 from eigenwave.dataset import FrequencyDataset
 from eigenwave.diffusion import DiffusionSpec
-from eigenwave.grid import Grid2D, GridError
+from eigenwave.eigenbasis import build_basis
+from eigenwave.grid import Grid2D, GridError, SolveError
 from eigenwave.helmholtz import (
     Acquisition,
-    SolveError,
     assemble,
     point_source_rhs,
     receiver_matrix,
@@ -125,6 +125,15 @@ class TestGenerateData:
         assert threading.enumerate() == threads  # no thread outlives the call
         assert ds.frequencies == freqs
         assert ds.data.tobytes() == reference_data(model, acq, freqs).tobytes()
+
+    def test_bad_frequencies_raise_before_any_factorization(self, monkeypatch):
+        model, acq = survey(3)
+        factored = []
+        real_splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda A, **kw: factored.append(A) or real_splu(A, **kw))
+        with pytest.raises(GridError, match="increasing"):
+            generate_data(model, acq, (5.0, 4.0, 4.0))
+        assert factored == []
 
     def test_source_batch_is_sparse_point_loads(self):
         model, acq = survey(9)
@@ -323,3 +332,24 @@ def test_every_lu_is_made_and_dropped_on_the_calling_thread(monkeypatch, job):
         me = threading.get_ident()
         assert made_on == [me] * n_lu
         assert dropped_on == [(me, me)] * n_lu
+
+
+def test_every_sparse_lu_is_made_in_grid(monkeypatch):
+    # a (model, frequency) pair, and a diffusion operator, is factored in
+    # one place: grid.sparse_lu
+    model, acq = survey(3)
+    callers = []
+    real_splu = spla.splu
+
+    def recording_splu(A, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return real_splu(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    ds = generate_data(model, acq, (4.0, 5.0))
+    spec = DiffusionSpec("eta3", 0.05)
+    build_basis(model.field, spec, 5)
+    start = make_layered_model(model.grid, 1500.0, 2000.0, c_min=800.0, c_max=5000.0)
+    run_inversion(InversionConfig(frequencies=(4.0, 5.0), n_schedule=(3, 5), n_iter=1, spec=spec), ds, start)
+    assert len(callers) >= 5  # two frequencies, a basis, and the inversion's diffusion and Helmholtz LUs
+    assert set(callers) == {"eigenwave.grid"}
